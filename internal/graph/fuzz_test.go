@@ -6,12 +6,14 @@ import (
 )
 
 // FuzzGraphJSON feeds arbitrary bytes into the graph decoder: it must
-// never panic, and anything it accepts must re-encode and decode to an
-// equal graph.
+// never panic, anything it accepts must re-encode and decode to an equal
+// graph, and the one-pass ConnectedCounts must agree with per-node
+// ConnectedPairs on it (acyclic or not).
 func FuzzGraphJSON(f *testing.F) {
 	f.Add([]byte(`{"nodes":[{"id":"a"},{"id":"b","features":{"k":"v"}}],"edges":[{"from":"a","to":"b","label":"l"}]}`))
 	f.Add([]byte(`{"nodes":[],"edges":[]}`))
 	f.Add([]byte(`{"nodes":[{"id":"a"}],"edges":[{"from":"a","to":"a"}]}`))
+	f.Add([]byte(`{"nodes":[{"id":"a"},{"id":"b"},{"id":"c"}],"edges":[{"from":"a","to":"b"},{"from":"b","to":"a"},{"from":"b","to":"c"}]}`))
 	f.Add([]byte(`not json at all`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var g Graph
@@ -36,6 +38,12 @@ func FuzzGraphJSON(f *testing.F) {
 		for _, e := range g.Edges() {
 			if !g.HasNode(e.From) || !g.HasNode(e.To) {
 				t.Fatalf("dangling edge %s", e.ID())
+			}
+		}
+		counts := g.ConnectedCounts()
+		for _, id := range g.Nodes() {
+			if want := g.ConnectedPairs(id); counts[id] != want {
+				t.Fatalf("ConnectedCounts()[%s] = %d, ConnectedPairs = %d", id, counts[id], want)
 			}
 		}
 	})

@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/intern"
@@ -398,6 +399,4 @@ func sortedCopy(s []NodeID) []NodeID {
 	return out
 }
 
-func sortNodeIDs(s []NodeID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}
+func sortNodeIDs(s []NodeID) { slices.Sort(s) }

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -221,6 +223,72 @@ func TestTopoSortAndDAG(t *testing.T) {
 	if g.IsDAG() {
 		t.Error("cyclic graph reported acyclic")
 	}
+}
+
+// TopoSort always takes the smallest ready id, so a wide frontier comes
+// out in id order and a freed node waits behind smaller ready ones.
+func TestTopoSortSmallestReadyFirst(t *testing.T) {
+	g := New()
+	for _, id := range []NodeID{"a", "b", "c", "d", "m", "z"} {
+		g.AddNodeID(id)
+	}
+	mustEdge(t, g, "z", "b")
+	mustEdge(t, g, "m", "a")
+	mustEdge(t, g, "c", "d")
+	order, ok := g.TopoSort()
+	if !ok {
+		t.Fatal("DAG reported cyclic")
+	}
+	want := []NodeID{"c", "d", "m", "a", "z", "b"}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+}
+
+// randomDAG builds n nodes with shuffled ids (so topological positions
+// and id order disagree) and forward edges between random rank pairs.
+func randomDAG(r *rand.Rand, n, m int) *Graph {
+	g := New()
+	ids := make([]NodeID, n)
+	for i, k := range r.Perm(n) {
+		ids[i] = NodeID(fmt.Sprintf("n%03d", k))
+		g.AddNodeID(ids[i])
+	}
+	for e := 0; e < m && n > 1; e++ {
+		i := r.Intn(n - 1)
+		j := i + 1 + r.Intn(n-i-1)
+		_ = g.AddEdge(Edge{From: ids[i], To: ids[j]}) // duplicates rejected
+	}
+	return g
+}
+
+func TestConnectedCountsMatchesConnectedPairs(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	check := func(name string, g *Graph) {
+		t.Helper()
+		got := g.ConnectedCounts()
+		if len(got) != g.NumNodes() {
+			t.Fatalf("%s: %d counts for %d nodes", name, len(got), g.NumNodes())
+		}
+		for _, id := range g.Nodes() {
+			if want := g.ConnectedPairs(id); got[id] != want {
+				t.Fatalf("%s: ConnectedCounts()[%s] = %d, ConnectedPairs = %d", name, id, got[id], want)
+			}
+		}
+	}
+	// Sizes straddle the 64-node block boundaries.
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 130, 200} {
+		for _, m := range []int{0, n / 2, 2 * n} {
+			check(fmt.Sprintf("dag n=%d m=%d", n, m), randomDAG(r, n, m))
+		}
+	}
+	cyc := randomDAG(r, 100, 150)
+	back := cyc.Edges()[0].ID().Reverse() // a 2-cycle takes the fallback
+	mustEdge(t, cyc, back.From, back.To)
+	check("cyclic", cyc)
+	check("chain", chain(t))
 }
 
 func TestHasPath(t *testing.T) {

@@ -1,5 +1,10 @@
 package graph
 
+import (
+	"container/heap"
+	"math/bits"
+)
+
 // Direction selects which adjacency a traversal follows.
 type Direction int
 
@@ -68,9 +73,11 @@ func (g *Graph) ConnectedCount(start NodeID, d Direction) int {
 // ConnectedPairs returns |ancestors ∪ descendants| of id: the number of
 // nodes connected to id by a directed path to or from it. This is the
 // connectivity notion behind the Path Utility Measure's %P and the
-// "connected pairs" density of §6.1.2 — the only reading under which every
-// worked number in §4.1 and the paper's 30–100 density range hold together
-// (see DESIGN.md).
+// "connected pairs" density of §6.1.2. Both directions count, and only
+// directed paths do: undirected (weak) connectivity would give every node
+// of a connected n-node graph n-1, which rules out §6.1.2's 30–100 range
+// on connected 200-node graphs, and one direction alone would score every
+// source (or every sink) 0.
 func (g *Graph) ConnectedPairs(id NodeID) int {
 	if !g.HasNode(id) {
 		return 0
@@ -81,6 +88,167 @@ func (g *Graph) ConnectedPairs(id NodeID) int {
 	}
 	delete(union, id)
 	return len(union)
+}
+
+// ConnectedCounts returns ConnectedPairs(id) for every node of the graph,
+// computed in one pass.
+//
+// In an acyclic graph a node's ancestors and descendants are disjoint, so
+// the count is |anc| + |desc|. Over one topological order, each block of
+// 64 consecutive positions is swept twice with one uint64 per node:
+// forward along the order, collecting the block members among the node's
+// ancestors (itself included), then backward, collecting those among its
+// descendants (itself included). Popcounts add up the counts. A block's
+// members sit at positions base..base+63, so nothing before base has a
+// block ancestor and nothing after base+63 a block descendant: the
+// forward sweep starts at base and the backward sweep at base+63. Cost:
+// O((n/64)·(n+m)) word operations and O(n+m) memory.
+//
+// A cyclic graph has no topological order; it falls back to one
+// ConnectedPairs per node.
+func (g *Graph) ConnectedCounts() map[NodeID]int {
+	counts := make(map[NodeID]int, len(g.nodes))
+	d := g.dense()
+	order := d.kahn(false)
+	n := len(d.ids)
+	if len(order) < n {
+		for _, id := range d.ids {
+			counts[id] = g.ConnectedPairs(id)
+		}
+		return counts
+	}
+	total := make([]int, n)
+	word := make([]uint64, n)
+	for base := 0; base < n; base += 64 {
+		end := min(base+64, n)
+		// Forward: word[v] collects the block members among v's ancestors.
+		clear(word)
+		for p := base; p < end; p++ {
+			word[order[p]] = 1 << uint(p-base)
+		}
+		for _, v := range order[base:] {
+			w := word[v]
+			if w == 0 {
+				continue
+			}
+			total[v] += bits.OnesCount64(w)
+			for _, s := range d.successors(v) {
+				word[s] |= w
+			}
+		}
+		// Backward: word[v] collects those among v's descendants.
+		clear(word)
+		for p := end - 1; p >= 0; p-- {
+			v := order[p]
+			var w uint64
+			if p >= base {
+				w = 1 << uint(p-base)
+			}
+			for _, s := range d.successors(v) {
+				w |= word[s]
+			}
+			word[v] = w
+			total[v] += bits.OnesCount64(w)
+		}
+	}
+	for v, id := range d.ids {
+		// Each node counted itself once in each direction.
+		counts[id] = total[v] - 2
+	}
+	return counts
+}
+
+// denseGraph numbers the nodes 0..n-1 and stores successors in
+// compressed sparse rows: the successors of node v are
+// succ[row[v]:row[v+1]].
+type denseGraph struct {
+	ids  []NodeID
+	row  []int32
+	succ []int32
+}
+
+func (g *Graph) dense() denseGraph {
+	d := denseGraph{
+		ids:  make([]NodeID, 0, len(g.nodes)),
+		row:  make([]int32, 1, len(g.nodes)+1),
+		succ: make([]int32, 0, len(g.edges)),
+	}
+	index := make(map[NodeID]int32, len(g.nodes))
+	for id := range g.nodes {
+		index[id] = int32(len(d.ids))
+		d.ids = append(d.ids, id)
+	}
+	for _, id := range d.ids {
+		for _, s := range g.out[id] {
+			d.succ = append(d.succ, index[s])
+		}
+		d.row = append(d.row, int32(len(d.succ)))
+	}
+	return d
+}
+
+func (d denseGraph) successors(v int32) []int32 { return d.succ[d.row[v]:d.row[v+1]] }
+
+// kahn returns the nodes in a topological order by Kahn's algorithm; the
+// result is shorter than n exactly when the graph has a cycle. With byID
+// the frontier is a min-heap on node id, so the smallest ready node always
+// comes next and the order is deterministic; without it the frontier is a
+// stack, for callers that accept any topological order.
+func (d denseGraph) kahn(byID bool) []int32 {
+	n := len(d.ids)
+	indeg := make([]int32, n)
+	for _, s := range d.succ {
+		indeg[s]++
+	}
+	frontier := &readyHeap{ids: d.ids}
+	for v := range n {
+		if indeg[v] == 0 {
+			frontier.v = append(frontier.v, int32(v))
+		}
+	}
+	if byID {
+		heap.Init(frontier)
+	}
+	order := make([]int32, 0, n)
+	for len(frontier.v) > 0 {
+		var v int32
+		if byID {
+			v = heap.Pop(frontier).(int32)
+		} else {
+			v = frontier.pop()
+		}
+		order = append(order, v)
+		for _, s := range d.successors(v) {
+			if indeg[s]--; indeg[s] != 0 {
+				continue
+			}
+			if byID {
+				heap.Push(frontier, s)
+			} else {
+				frontier.v = append(frontier.v, s)
+			}
+		}
+	}
+	return order
+}
+
+// readyHeap is Kahn's frontier of dense node indices; as a container/heap
+// it orders them by node id.
+type readyHeap struct {
+	ids []NodeID
+	v   []int32
+}
+
+func (h *readyHeap) Len() int           { return len(h.v) }
+func (h *readyHeap) Less(i, j int) bool { return h.ids[h.v[i]] < h.ids[h.v[j]] }
+func (h *readyHeap) Swap(i, j int)      { h.v[i], h.v[j] = h.v[j], h.v[i] }
+func (h *readyHeap) Push(x any)         { h.v = append(h.v, x.(int32)) }
+func (h *readyHeap) Pop() any           { return h.pop() }
+
+func (h *readyHeap) pop() int32 {
+	x := h.v[len(h.v)-1]
+	h.v = h.v[:len(h.v)-1]
+	return x
 }
 
 // WeakComponents partitions the nodes into weakly connected components.
@@ -186,40 +354,20 @@ func (g *Graph) Distances(start NodeID, d Direction) map[NodeID]int {
 }
 
 // TopoSort returns the nodes in a topological order and true, or nil and
-// false if the graph contains a directed cycle. Kahn's algorithm with a
-// sorted frontier for determinism.
+// false if the graph contains a directed cycle. Among the nodes ready at
+// each step the smallest id comes first, so the order is deterministic;
+// it costs O((n+m) log n).
 func (g *Graph) TopoSort() ([]NodeID, bool) {
-	indeg := make(map[NodeID]int, len(g.nodes))
-	for id := range g.nodes {
-		indeg[id] = len(g.in[id])
-	}
-	var frontier []NodeID
-	for id, d := range indeg {
-		if d == 0 {
-			frontier = append(frontier, id)
-		}
-	}
-	sortNodeIDs(frontier)
-	var order []NodeID
-	for len(frontier) > 0 {
-		cur := frontier[0]
-		frontier = frontier[1:]
-		order = append(order, cur)
-		next := make([]NodeID, 0, 2)
-		for _, v := range g.Successors(cur) {
-			indeg[v]--
-			if indeg[v] == 0 {
-				next = append(next, v)
-			}
-		}
-		// Keep the frontier sorted after appending the newly freed nodes.
-		frontier = append(frontier, next...)
-		sortNodeIDs(frontier)
-	}
-	if len(order) != len(g.nodes) {
+	d := g.dense()
+	order := d.kahn(true)
+	if len(order) < len(d.ids) {
 		return nil, false
 	}
-	return order, true
+	ids := make([]NodeID, len(order))
+	for i, v := range order {
+		ids[i] = d.ids[v]
+	}
+	return ids, true
 }
 
 // IsDAG reports whether the graph is acyclic (provenance graphs are DAGs,

@@ -11,25 +11,14 @@ import (
 	"repro/internal/graph"
 )
 
-// connectedCounts returns, for every node, the number of other nodes it is
-// connected to by a directed path of any length to or from it —
-// |ancestors ∪ descendants|, the §4.1 connectivity notion (see DESIGN.md).
-func connectedCounts(g *graph.Graph) map[graph.NodeID]int {
-	counts := make(map[graph.NodeID]int, g.NumNodes())
-	for _, id := range g.Nodes() {
-		counts[id] = g.ConnectedPairs(id)
-	}
-	return counts
-}
-
 // PathPercentage computes %P(n) for one original node n: the number of
 // nodes connected to n's corresponding node in G', divided by the number of
 // nodes connected to n in G. Nodes with no corresponding node contribute 0.
 // An isolated original (denominator 0) contributes 1 when present — all of
 // its (empty) connectivity is retained — and 0 otherwise.
 func PathPercentage(spec *account.Spec, a *account.Account, n graph.NodeID) float64 {
-	connG := connectedCounts(spec.Graph)
-	connA := connectedCounts(a.Graph)
+	connG := spec.Graph.ConnectedCounts()
+	connA := a.Graph.ConnectedCounts()
 	return pathPercentage(a, n, connG, connA)
 }
 
@@ -51,8 +40,8 @@ func PathUtility(spec *account.Spec, a *account.Account) float64 {
 	if spec.Graph.NumNodes() == 0 {
 		return 0
 	}
-	connG := connectedCounts(spec.Graph)
-	connA := connectedCounts(a.Graph)
+	connG := spec.Graph.ConnectedCounts()
+	connA := a.Graph.ConnectedCounts()
 	var sum float64
 	for _, n := range spec.Graph.Nodes() {
 		sum += pathPercentage(a, n, connG, connA)
@@ -171,9 +160,10 @@ func (Naive) InferenceLikelihood(int) float64 { return 0.5 }
 // walks toward (Figure 5: "more likely to infer an edge to a node with few
 // edges"), so the first sum ranges over target degrees and the second over
 // source degrees. The published formula rendering is partially unreadable;
-// DESIGN.md records this reading and its fidelity to Table 1.
+// this reading is the one that reproduces the opacities of Table 1 on the
+// running example (TestTable1MatchesPaper in internal/eval checks them).
 func EdgeOpacity(spec *account.Spec, a *account.Account, e graph.EdgeID, adv Adversary) float64 {
-	return edgeOpacityCached(a, e, connectedCounts(a.Graph), adv)
+	return edgeOpacityCached(a, e, a.Graph.ConnectedCounts(), adv)
 }
 
 // inferability is R in the Figure 4 formula, for account nodes n1 -> n2.
@@ -218,10 +208,11 @@ func inferability(a *account.Account, n1, n2 graph.NodeID, conn map[graph.NodeID
 // The normalised EdgeOpacity matches the paper's Table 1 numbers on the
 // 11-node running example but compresses toward 1 on 200-node graphs
 // (every candidate share is ~1/n); this variant keeps the dynamic range
-// the paper's Figure 9a bars display at scale. EXPERIMENTS.md reports
-// both. Fixed points (edge present -> 0, endpoint absent -> 1) are shared.
+// the paper's Figure 9a bars display at scale, so the Figure 9 sweeps
+// report both. Fixed points (edge present -> 0, endpoint absent -> 1) are
+// shared.
 func EdgeOpacityScaleFree(spec *account.Spec, a *account.Account, e graph.EdgeID, adv Adversary) float64 {
-	return edgeOpacityScaleFreeCached(a, e, connectedCounts(a.Graph), adv)
+	return edgeOpacityScaleFreeCached(a, e, a.Graph.ConnectedCounts(), adv)
 }
 
 func edgeOpacityScaleFreeCached(a *account.Account, e graph.EdgeID, conn map[graph.NodeID]int, adv Adversary) float64 {
@@ -250,7 +241,7 @@ func AverageOpacityScaleFree(spec *account.Spec, a *account.Account, edges []gra
 	if len(edges) == 0 {
 		return 0
 	}
-	conn := connectedCounts(a.Graph)
+	conn := a.Graph.ConnectedCounts()
 	var sum float64
 	for _, e := range edges {
 		sum += edgeOpacityScaleFreeCached(a, e, conn, adv)
@@ -267,7 +258,7 @@ func AverageOpacity(spec *account.Spec, a *account.Account, edges []graph.EdgeID
 	// Connectivity of the account is shared across all edges; computing it
 	// once keeps large sweeps (hundreds of protected edges per synthetic
 	// graph) linear instead of quadratic.
-	conn := connectedCounts(a.Graph)
+	conn := a.Graph.ConnectedCounts()
 	var sum float64
 	for _, e := range edges {
 		sum += edgeOpacityCached(a, e, conn, adv)

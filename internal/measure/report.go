@@ -25,8 +25,8 @@ type NodeReport struct {
 
 // NodeReports computes one row per original node, sorted by id.
 func NodeReports(spec *account.Spec, a *account.Account) []NodeReport {
-	connG := connectedCounts(spec.Graph)
-	connA := connectedCounts(a.Graph)
+	connG := spec.Graph.ConnectedCounts()
+	connA := a.Graph.ConnectedCounts()
 	var out []NodeReport
 	for _, n := range spec.Graph.Nodes() {
 		r := NodeReport{
@@ -60,7 +60,7 @@ type EdgeReport struct {
 
 // EdgeReports computes one row per original edge, sorted.
 func EdgeReports(spec *account.Spec, a *account.Account, adv Adversary) []EdgeReport {
-	conn := connectedCounts(a.Graph)
+	conn := a.Graph.ConnectedCounts()
 	var out []EdgeReport
 	for _, e := range spec.Graph.Edges() {
 		id := e.ID()

@@ -81,13 +81,15 @@ type Result struct {
 	Account *account.Account
 	Timing  Timing
 
-	// utilOnce memoises the §4.1 utility measures: PathUtility walks the
-	// whole reachability of both graphs (quadratic in the answer size),
-	// and a cache-served answer is asked for the same numbers on every
-	// request.
+	// utilOnce memoises the §4.1 utility measures. PathUtility counts the
+	// connectivity of every node of both graphs (one bitset sweep each,
+	// O((n/64)·(n+m))), and a cache-served answer is asked for the same
+	// numbers on every request. utilTime is how long that one computation
+	// took.
 	utilOnce sync.Once
 	pathUtil float64
 	nodeUtil float64
+	utilTime time.Duration
 }
 
 // Utilities returns the §4.1 path/node utility of the protected answer,
@@ -95,8 +97,10 @@ type Result struct {
 // Result (cached answers are shared and read-only).
 func (r *Result) Utilities() (path, node float64) {
 	r.utilOnce.Do(func() {
+		t := time.Now()
 		r.pathUtil = measure.PathUtility(r.Spec, r.Account)
 		r.nodeUtil = measure.NodeUtility(r.Spec, r.Account)
+		r.utilTime = time.Since(t)
 	})
 	return r.pathUtil, r.nodeUtil
 }

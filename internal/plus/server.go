@@ -372,7 +372,14 @@ type LineageTiming struct {
 	DBAccessUS int64 `json:"dbAccessUs"`
 	BuildUS    int64 `json:"buildUs"`
 	ProtectUS  int64 `json:"protectUs"`
-	TotalUS    int64 `json:"totalUs"`
+	// TotalUS is the Figure 10 query time: fetch, build and protect. It
+	// does not include UtilitiesUS.
+	TotalUS int64 `json:"totalUs"`
+	// UtilitiesUS is the one computation of the §4.1 path and node
+	// utilities reported alongside the answer. It runs after the query,
+	// once per computed answer; a cache hit repeats the figure of the
+	// answer it serves.
+	UtilitiesUS int64 `json:"utilitiesUs"`
 }
 
 // LineageResponse is the JSON answer to a lineage query.

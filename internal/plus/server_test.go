@@ -3,6 +3,8 @@ package plus
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -296,6 +298,58 @@ func TestCachedServerServesAndInvalidates(t *testing.T) {
 	}
 	if len(r3.Nodes) != len(r1.Nodes)+1 {
 		t.Errorf("stale cached answer: %d nodes vs %d+1", len(r3.Nodes), len(r1.Nodes))
+	}
+}
+
+// Every lineage answer reports the time of its one §4.1 utilities
+// computation, on both surfaces; a cache hit repeats the figure of the
+// answer it serves.
+func TestLineageReportsUtilitiesTime(t *testing.T) {
+	s, _ := openTemp(t)
+	var b Batch
+	for i := 0; i < 200; i++ {
+		b.Objects = append(b.Objects, Object{ID: fmt.Sprintf("c%03d", i), Kind: Data, Name: "step"})
+		if i > 0 {
+			b.Edges = append(b.Edges, Edge{From: fmt.Sprintf("c%03d", i-1), To: fmt.Sprintf("c%03d", i)})
+		}
+	}
+	if _, err := s.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	engine := NewCachedEngine(NewEngine(s, privilege.TwoLevel()))
+	srv := httptest.NewServer(NewCachedServer(engine))
+	defer srv.Close()
+
+	var first int64 = -1
+	for _, path := range []string{"/v1/lineage?start=c199", "/v1/lineage?start=c199", "/v2/lineage?start=c199"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
+		}
+		if !bytes.Contains(body, []byte(`"utilitiesUs":`)) {
+			t.Fatalf("GET %s: no utilitiesUs in %s", path, body)
+		}
+		var lr LineageResponse
+		if err := json.Unmarshal(body, &lr); err != nil {
+			t.Fatal(err)
+		}
+		got := lr.Timing.UtilitiesUS
+		if first < 0 {
+			first = got
+			if got <= 0 {
+				t.Errorf("utilitiesUs = %d for a 200-node answer", got)
+			}
+		} else if got != first {
+			t.Errorf("GET %s: cached utilitiesUs = %d, first answer reported %d", path, got, first)
+		}
+	}
+	if hits, _, _ := engine.CacheStats(); hits != 2 {
+		t.Errorf("cache hits = %d, want 2", hits)
 	}
 }
 

@@ -703,10 +703,11 @@ func buildLineageResponse(req Request, res *Result) LineageResponse {
 		PathUtility: pathUtil,
 		NodeUtility: nodeUtil,
 		Timing: LineageTiming{
-			DBAccessUS: res.Timing.DBAccess.Microseconds(),
-			BuildUS:    res.Timing.Build.Microseconds(),
-			ProtectUS:  res.Timing.Protect.Microseconds(),
-			TotalUS:    res.Timing.Total.Microseconds(),
+			DBAccessUS:  res.Timing.DBAccess.Microseconds(),
+			BuildUS:     res.Timing.Build.Microseconds(),
+			ProtectUS:   res.Timing.Protect.Microseconds(),
+			TotalUS:     res.Timing.Total.Microseconds(),
+			UtilitiesUS: res.utilTime.Microseconds(),
 		},
 	}
 	for _, id := range res.Account.Graph.Nodes() {

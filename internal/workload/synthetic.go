@@ -14,8 +14,8 @@ type SyntheticConfig struct {
 	// TargetConnected is the desired average number of connected pairs per
 	// node: |ancestors ∪ descendants|, the §4.1 connectivity notion — the
 	// only reading under which the paper's 30–100 range is attainable in a
-	// weakly connected graph (see DESIGN.md). The generator adds edges
-	// until the average meets or exceeds the target.
+	// weakly connected graph (see graph.ConnectedPairs). The generator adds
+	// edges until the average meets or exceeds the target.
 	TargetConnected float64
 	// ProtectFraction in [0,1] selects the share of edges to protect
 	// (10%–90% in the paper).
@@ -52,8 +52,8 @@ func meanConnectedPairs(g *graph.Graph) float64 {
 		return 0
 	}
 	var sum int
-	for _, id := range g.Nodes() {
-		sum += g.ConnectedPairs(id)
+	for _, c := range g.ConnectedCounts() {
+		sum += c
 	}
 	return float64(sum) / float64(g.NumNodes())
 }
