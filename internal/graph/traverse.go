@@ -109,7 +109,7 @@ func (g *Graph) ConnectedPairs(id NodeID) int {
 func (g *Graph) ConnectedCounts() map[NodeID]int {
 	counts := make(map[NodeID]int, len(g.nodes))
 	d := g.dense()
-	order := d.kahn(false)
+	order := d.kahn()
 	n := len(d.ids)
 	if len(order) < n {
 		for _, id := range d.ids {
@@ -190,11 +190,10 @@ func (g *Graph) dense() denseGraph {
 func (d denseGraph) successors(v int32) []int32 { return d.succ[d.row[v]:d.row[v+1]] }
 
 // kahn returns the nodes in a topological order by Kahn's algorithm; the
-// result is shorter than n exactly when the graph has a cycle. With byID
-// the frontier is a min-heap on node id, so the smallest ready node always
-// comes next and the order is deterministic; without it the frontier is a
-// stack, for callers that accept any topological order.
-func (d denseGraph) kahn(byID bool) []int32 {
+// result is shorter than n exactly when the graph has a cycle. The
+// frontier is a min-heap on node id, so the smallest ready node always
+// comes next and the order is deterministic.
+func (d denseGraph) kahn() []int32 {
 	n := len(d.ids)
 	indeg := make([]int32, n)
 	for _, s := range d.succ {
@@ -206,34 +205,22 @@ func (d denseGraph) kahn(byID bool) []int32 {
 			frontier.v = append(frontier.v, int32(v))
 		}
 	}
-	if byID {
-		heap.Init(frontier)
-	}
+	heap.Init(frontier)
 	order := make([]int32, 0, n)
-	for len(frontier.v) > 0 {
-		var v int32
-		if byID {
-			v = heap.Pop(frontier).(int32)
-		} else {
-			v = frontier.pop()
-		}
+	for frontier.Len() > 0 {
+		v := heap.Pop(frontier).(int32)
 		order = append(order, v)
 		for _, s := range d.successors(v) {
-			if indeg[s]--; indeg[s] != 0 {
-				continue
-			}
-			if byID {
+			if indeg[s]--; indeg[s] == 0 {
 				heap.Push(frontier, s)
-			} else {
-				frontier.v = append(frontier.v, s)
 			}
 		}
 	}
 	return order
 }
 
-// readyHeap is Kahn's frontier of dense node indices; as a container/heap
-// it orders them by node id.
+// readyHeap is Kahn's frontier of dense node indices, a container/heap
+// ordered by node id.
 type readyHeap struct {
 	ids []NodeID
 	v   []int32
@@ -243,9 +230,8 @@ func (h *readyHeap) Len() int           { return len(h.v) }
 func (h *readyHeap) Less(i, j int) bool { return h.ids[h.v[i]] < h.ids[h.v[j]] }
 func (h *readyHeap) Swap(i, j int)      { h.v[i], h.v[j] = h.v[j], h.v[i] }
 func (h *readyHeap) Push(x any)         { h.v = append(h.v, x.(int32)) }
-func (h *readyHeap) Pop() any           { return h.pop() }
 
-func (h *readyHeap) pop() int32 {
+func (h *readyHeap) Pop() any {
 	x := h.v[len(h.v)-1]
 	h.v = h.v[:len(h.v)-1]
 	return x
@@ -359,7 +345,7 @@ func (g *Graph) Distances(start NodeID, d Direction) map[NodeID]int {
 // it costs O((n+m) log n).
 func (g *Graph) TopoSort() ([]NodeID, bool) {
 	d := g.dense()
-	order := d.kahn(true)
+	order := d.kahn()
 	if len(order) < len(d.ids) {
 		return nil, false
 	}
