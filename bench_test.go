@@ -267,7 +267,7 @@ func benchBackends(b *testing.B) map[string]func() plus.Backend {
 			return store
 		},
 		"mem": func() plus.Backend {
-			m := plus.NewMemBackend(0)
+			m := plus.NewMemBackend()
 			b.Cleanup(func() { m.Close() })
 			return m
 		},

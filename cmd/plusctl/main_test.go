@@ -405,7 +405,7 @@ func TestBatchAndFollowWithToken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := plus.NewMemBackend(2)
+	m := plus.NewMemBackend()
 	t.Cleanup(func() { m.Close() })
 	lat := privilege.TwoLevel()
 	s := plus.NewServer(plus.NewEngine(m, lat), plus.WithAuth(plus.AuthConfig{Keyring: kr, Require: true}))
@@ -454,7 +454,7 @@ func TestGlobalTokenOnV1Subcommands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := plus.NewMemBackend(2)
+	m := plus.NewMemBackend()
 	t.Cleanup(func() { m.Close() })
 	lat := privilege.TwoLevel()
 	s := plus.NewServer(plus.NewEngine(m, lat), plus.WithAuth(plus.AuthConfig{Keyring: kr, Require: true}))

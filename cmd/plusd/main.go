@@ -11,11 +11,11 @@
 //	       [-follow-coalesce 100ms]]
 //
 // The -backend flag selects the storage engine: "log" (default) is the
-// durable CRC-guarded append-only log at -db; "mem" is the sharded
-// in-memory backend for read-heavy serving (contents die with the
-// process; -db and -sync are ignored, -shards sets the partition count,
-// -change-horizon bounds the per-shard change ring that feeds incremental
-// cache and view maintenance).
+// in-memory store core over the durable CRC-guarded append-only log at
+// -db; "mem" is the same core without the log (contents die with the
+// process; -db and -sync are ignored). -change-horizon sizes the resident
+// change window, on either backend, that feeds incremental cache and
+// view maintenance and the /v2/changes feed.
 //
 // Caches are delta-scoped: a write evicts only the lineage answers and
 // PLUSQL views whose account region it touches; GET /v1/healthz reports
@@ -179,27 +179,35 @@ func listenAndServe(addr string, h http.Handler, tlsPair, tlsSelfDir string) err
 }
 
 // openBackend builds the storage engine the -backend flag selected.
-func openBackend(kind, db string, shards, horizon int, sync bool) (plus.Backend, error) {
+func openBackend(kind, db string, horizon int, sync bool) (plus.Backend, error) {
+	var (
+		b    plus.Backend
+		core *plus.MemBackend
+	)
 	switch kind {
 	case "log":
-		return plus.Open(db, plus.Options{Sync: sync})
-	case "mem":
-		m := plus.NewMemBackend(shards)
-		if horizon > 0 {
-			m.SetChangeHorizon(horizon)
+		s, err := plus.Open(db, plus.Options{Sync: sync})
+		if err != nil {
+			return nil, err
 		}
-		return m, nil
+		b, core = s, s.MemBackend
+	case "mem":
+		core = plus.NewMemBackend()
+		b = core
 	default:
 		return nil, fmt.Errorf("unknown backend %q (want log or mem)", kind)
 	}
+	if horizon > 0 {
+		core.SetChangeHorizon(horizon)
+	}
+	return b, nil
 }
 
 func run() error {
 	addr := flag.String("addr", ":7337", "listen address")
 	db := flag.String("db", "plus.log", "path to the store log file (log backend)")
-	backendKind := flag.String("backend", "log", "storage backend: log (durable) or mem (sharded in-memory)")
-	shards := flag.Int("shards", 0, "mem backend shard count (0 = default)")
-	horizon := flag.Int("change-horizon", 0, "mem backend per-shard change-ring capacity (0 = default)")
+	backendKind := flag.String("backend", "log", "storage backend: log (durable) or mem (volatile in-memory)")
+	horizon := flag.Int("change-horizon", 0, "resident change-window capacity in records (0 = default)")
 	latticePath := flag.String("lattice", "", "path to a JSON lattice spec (default: two-level)")
 	sync := flag.Bool("sync", false, "fsync every append (log backend)")
 	cache := flag.Bool("cache", true, "memoise lineage answers until the store changes")
@@ -225,7 +233,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	backend, err := openBackend(*backendKind, *db, *shards, *horizon, *sync)
+	backend, err := openBackend(*backendKind, *db, *horizon, *sync)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,8 @@
 //	internal/account    protected-account generation, incremental
 //	                    maintenance (Maintain) and verification
 //	internal/measure    path/node utility and opacity
-//	internal/plus       the PLUS substrate: pluggable storage backends
+//	internal/plus       the PLUS substrate: one in-memory store core,
+//	                    volatile or over a durable append-only log,
 //	                    with a change feed (ChangesSince / DeltaSince /
 //	                    Notify) and epoch-stamped durable cursors,
 //	                    snapshot-isolated lineage engine, delta-scoped

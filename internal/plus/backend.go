@@ -1,15 +1,18 @@
 package plus
 
-import "fmt"
+import (
+	"fmt"
+	"unicode/utf8"
+)
 
 // This file defines the storage seam of the PLUS substrate. The original
 // prototype was "one file, one lock": a single map-backed log index behind
 // a global RWMutex that every lineage query held for its whole closure
-// walk. Backend extracts that contract into an interface so durable
-// (LogBackend) and serving-optimised (MemBackend) engines are
-// interchangeable, and Snapshot gives queries an immutable,
-// revision-stamped view of the store so readers never contend with
-// writers.
+// walk. Backend extracts that contract into an interface, implemented by
+// one in-memory core (MemBackend) that runs volatile or under a durable
+// log (LogBackend) and by decorators such as ObserveBackend; Snapshot
+// gives queries an immutable, revision-stamped view of the store so
+// readers never contend with writers.
 
 // Backend is the storage contract the query engine, HTTP server and
 // facade layers program against. All methods must be safe for concurrent
@@ -100,9 +103,9 @@ type Snapshot struct {
 	in         map[string][]Edge
 	surrogates map[string][]SurrogateSpec
 
-	// source is the backend the snapshot was cloned from; DeltaSince
+	// source is the store core the snapshot was cloned from; DeltaSince
 	// reads the change feed through it.
-	source Backend
+	source *MemBackend
 
 	// idx is the owning backend's live secondary index (shared by every
 	// snapshot of that backend); nil for hand-built snapshots, in which
@@ -143,41 +146,31 @@ func (sn *Snapshot) In(id string) []Edge { return sn.in[id] }
 // shared with the snapshot and must not be mutated.
 func (sn *Snapshot) Surrogates(id string) []SurrogateSpec { return sn.surrogates[id] }
 
-// cloneIndex builds a Snapshot from live index maps. Callers must hold
-// whatever lock makes the maps stable for the duration.
-func cloneIndex(source Backend, rev uint64,
-	objects map[string]Object,
-	out, in map[string][]Edge,
-	surrogates map[string][]SurrogateSpec) *Snapshot {
+// clone builds a Snapshot of the core's live maps at revision rev.
+// Caller holds mu.
+func (m *MemBackend) clone(rev uint64) *Snapshot {
 	sn := &Snapshot{
-		source:     source,
+		source:     m,
+		idx:        m.idx,
 		rev:        rev,
-		objects:    make(map[string]Object, len(objects)),
-		out:        make(map[string][]Edge, len(out)),
-		in:         make(map[string][]Edge, len(in)),
-		surrogates: make(map[string][]SurrogateSpec, len(surrogates)),
+		objects:    make(map[string]Object, len(m.objects)),
+		out:        make(map[string][]Edge, len(m.out)),
+		in:         make(map[string][]Edge, len(m.in)),
+		surrogates: make(map[string][]SurrogateSpec, len(m.surrogates)),
 	}
-	sn.mergeInto(objects, out, in, surrogates)
-	return sn
-}
-
-// mergeInto copies one shard's live maps into an under-construction
-// snapshot (used by sharded backends whose index is partitioned).
-func (sn *Snapshot) mergeInto(objects map[string]Object,
-	out, in map[string][]Edge,
-	surrogates map[string][]SurrogateSpec) {
-	for id, o := range objects {
+	for id, o := range m.objects {
 		sn.objects[id] = o
 	}
-	for id, es := range out {
+	for id, es := range m.out {
 		sn.out[id] = es
 	}
-	for id, es := range in {
+	for id, es := range m.in {
 		sn.in[id] = es
 	}
-	for id, sps := range surrogates {
+	for id, sps := range m.surrogates {
 		sn.surrogates[id] = sps
 	}
+	return sn
 }
 
 // validateObject is the shared object-shape check every backend applies
@@ -192,6 +185,9 @@ func validateObject(o Object) error {
 	if o.Protect != "" && o.Protect != string(ModeHide) && o.Protect != string(ModeSurrogate) {
 		return fmt.Errorf("plus: object %s has unknown protect mode %q", o.ID, o.Protect)
 	}
+	if !validText(o.ID, o.Name, o.Lowest) || !validFeatures(o.Features) {
+		return fmt.Errorf("plus: object %q has text that is not valid UTF-8", o.ID)
+	}
 	return nil
 }
 
@@ -203,5 +199,38 @@ func validateSurrogate(sp SurrogateSpec) error {
 	if sp.InfoScore < 0 || sp.InfoScore > 1 {
 		return fmt.Errorf("plus: surrogate %s infoScore %v out of [0,1]", sp.ID, sp.InfoScore)
 	}
+	if !validText(sp.ID, sp.Name, sp.Lowest) || !validFeatures(sp.Features) {
+		return fmt.Errorf("plus: surrogate %q has text that is not valid UTF-8", sp.ID)
+	}
 	return nil
+}
+
+// validateEdgeText is the shared edge check beyond endpoint existence
+// (endpoints name stored or batched objects, whose ids are checked).
+func validateEdgeText(e Edge) error {
+	if !validText(e.Label, e.Marking, e.Lowest) {
+		return fmt.Errorf("plus: edge %s->%s has text that is not valid UTF-8", e.From, e.To)
+	}
+	return nil
+}
+
+// validText reports whether every string is valid UTF-8. The log stores
+// records as JSON, which replaces invalid bytes, so a record holding them
+// would replay to something other than what the store acknowledged.
+func validText(ss ...string) bool {
+	for _, s := range ss {
+		if !utf8.ValidString(s) {
+			return false
+		}
+	}
+	return true
+}
+
+func validFeatures(f map[string]string) bool {
+	for k, v := range f {
+		if !utf8.ValidString(k) || !utf8.ValidString(v) {
+			return false
+		}
+	}
+	return true
 }

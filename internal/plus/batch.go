@@ -1,11 +1,6 @@
 package plus
 
-import (
-	"encoding/binary"
-	"encoding/json"
-	"fmt"
-	"hash/crc32"
-)
+import "fmt"
 
 // Batch is a group of records applied with one lock acquisition, one
 // buffered write and (with Options.Sync) one fsync — the group-commit path
@@ -22,28 +17,24 @@ func (b *Batch) Len() int {
 	return len(b.Objects) + len(b.Edges) + len(b.Surrogates)
 }
 
-// validate checks the whole batch against a backend's current state
-// (seen through the two callbacks) plus the batch's own objects. It is
-// shared by every Backend implementation; callers hold whatever locks
-// make the callbacks stable.
-func (b *Batch) validate(stored func(id string) bool, hasEdge func(from, to string) bool) error {
-	have := func(id string) bool {
-		if stored(id) {
-			return true
-		}
-		for _, o := range b.Objects {
-			if o.ID == id {
-				return true
-			}
-		}
-		return false
-	}
+// validate checks the whole batch against the core's current state plus
+// the batch's own objects. Caller holds m.mu.
+func (b *Batch) validate(m *MemBackend) error {
+	batchObjects := make(map[string]struct{}, len(b.Objects))
 	for _, o := range b.Objects {
 		if err := validateObject(o); err != nil {
 			return fmt.Errorf("plus: batch: %w", err)
 		}
+		batchObjects[o.ID] = struct{}{}
 	}
-	batchEdges := map[[2]string]bool{}
+	have := func(id string) bool {
+		if m.hasObject(id) {
+			return true
+		}
+		_, ok := batchObjects[id]
+		return ok
+	}
+	batchEdges := make(map[[2]string]bool, len(b.Edges))
 	for _, e := range b.Edges {
 		if e.From == e.To {
 			return fmt.Errorf("plus: batch self edge %s", e.From)
@@ -56,8 +47,11 @@ func (b *Batch) validate(stored func(id string) bool, hasEdge func(from, to stri
 			return fmt.Errorf("plus: batch duplicate edge %s->%s", e.From, e.To)
 		}
 		batchEdges[key] = true
-		if hasEdge(e.From, e.To) {
+		if m.hasEdge(e.From, e.To) {
 			return fmt.Errorf("plus: batch edge %s->%s already stored", e.From, e.To)
+		}
+		if err := validateEdgeText(e); err != nil {
+			return fmt.Errorf("plus: batch: %w", err)
 		}
 	}
 	for _, sp := range b.Surrogates {
@@ -69,93 +63,4 @@ func (b *Batch) validate(stored func(id string) bool, hasEdge func(from, to stri
 		}
 	}
 	return nil
-}
-
-// Apply validates the whole batch against the store's current state (plus
-// the batch's own objects), then appends every record with a single
-// buffered write, returning the revision after the batch's last record.
-// Validation failures leave the store untouched. A crash mid-write leaves
-// a torn tail that replay truncates, so a batch is atomic-on-recovery
-// only up to the records that fully made it to disk — the same guarantee
-// individual appends give.
-func (s *LogBackend) Apply(b Batch) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return 0, ErrClosed
-	}
-	err := b.validate(
-		func(id string) bool {
-			_, ok := s.objects[id]
-			return ok
-		},
-		func(from, to string) bool {
-			for _, prev := range s.out[from] {
-				if prev.To == to {
-					return true
-				}
-			}
-			return false
-		},
-	)
-	if err != nil {
-		return 0, err
-	}
-
-	// Encode everything into one buffer, then write once.
-	var buf []byte
-	type applied struct {
-		kind byte
-		body []byte
-	}
-	var records []applied
-	encode := func(kind byte, v interface{}) error {
-		body, err := json.Marshal(v)
-		if err != nil {
-			return fmt.Errorf("plus: batch encode: %w", err)
-		}
-		payload := append([]byte{kind}, body...)
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, payload...)
-		records = append(records, applied{kind: kind, body: body})
-		return nil
-	}
-	for _, o := range b.Objects {
-		if err := encode(recObject, o); err != nil {
-			return 0, err
-		}
-	}
-	for _, e := range b.Edges {
-		if err := encode(recEdge, e); err != nil {
-			return 0, err
-		}
-	}
-	for _, sp := range b.Surrogates {
-		if err := encode(recSurrogate, sp); err != nil {
-			return 0, err
-		}
-	}
-	if len(buf) == 0 {
-		return s.revision.Load(), nil
-	}
-	if _, err := s.f.Write(buf); err != nil {
-		return 0, fmt.Errorf("plus: batch write: %w", err)
-	}
-	if s.sync {
-		if err := s.f.Sync(); err != nil {
-			return 0, fmt.Errorf("plus: batch sync: %w", err)
-		}
-	}
-	s.size += int64(len(buf))
-	for _, r := range records {
-		if err := s.apply(r.kind, r.body); err != nil {
-			// Unreachable: the same bytes were just validated and encoded.
-			return 0, err
-		}
-	}
-	s.broadcast()
-	return s.revision.Load(), nil
 }

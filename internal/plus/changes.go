@@ -3,7 +3,6 @@ package plus
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // This file defines the change feed: the ordered stream of record deltas a
@@ -36,6 +35,10 @@ type Change struct {
 	Object    Object
 	Edge      Edge
 	Surrogate SurrogateSpec
+
+	// prev is the version an object change replaced (nil for a new
+	// object): the secondary index unpublishes it.
+	prev *Object
 }
 
 // ErrTooFarBehind is returned by ChangesSince when the requested start
@@ -83,47 +86,29 @@ func (d *Delta) Touched() map[string]bool {
 	return out
 }
 
-// changeWalker is implemented by backends that can stream their retained
-// change feed in place. Unlike ChangesSince it neither copies the Change
-// records nor merge-sorts them: visit observes each change with revision
-// in (since, upTo] exactly once, in revision order PER PRIMARY ID but in
-// unspecified order across ids. The pointer passed to visit is only valid
-// for the duration of the call. When part of the window has been evicted
-// the walk fails with ErrTooFarBehind — possibly after visiting some
-// changes, so callers must treat any error as "discard partial work and
-// rebuild".
-type changeWalker interface {
-	walkChangesSince(since, upTo uint64, visit func(*Change)) error
-}
+// errNoSource reports a snapshot that was not taken of a backend, so it
+// has no change feed to read.
+var errNoSource = errors.New("plus: snapshot has no change-feed source")
 
 // walkObjectChanges streams the object changes applied after revision
-// since, up to the snapshot's revision, into visit. It is the allocation-
-// free sibling of DeltaSince for consumers — like the secondary index —
-// that only fold per-object state and don't care about cross-object
-// ordering: when the source backend supports in-place walking, nothing is
-// copied and nothing is sorted. On any feed hazard (ErrTooFarBehind,
-// missing source) the caller must discard partial work and rebuild.
-func (sn *Snapshot) walkObjectChanges(since uint64, visit func(Object)) error {
+// since, up to the snapshot's revision, into visit, in revision order,
+// each with the version it replaced (nil for a new object). It
+// is the allocation-free sibling of DeltaSince for consumers — like the
+// secondary index — that only fold per-object state: nothing is copied.
+// On any feed hazard (ErrTooFarBehind, missing source) the caller must
+// rebuild.
+func (sn *Snapshot) walkObjectChanges(since uint64, visit func(o Object, prev *Object)) error {
 	if since > sn.rev {
 		return errFutureRevision(since, sn.rev)
 	}
-	if w, ok := sn.source.(changeWalker); ok {
-		return w.walkChangesSince(since, sn.rev, func(c *Change) {
-			if c.Kind == ChangeObject {
-				visit(c.Object)
-			}
-		})
+	if sn.source == nil {
+		return errNoSource
 	}
-	d, err := sn.DeltaSince(since)
-	if err != nil {
-		return err
-	}
-	for i := range d.Changes {
-		if d.Changes[i].Kind == ChangeObject {
-			visit(d.Changes[i].Object)
+	return sn.source.walkChangesSince(since, sn.rev, func(c *Change) {
+		if c.Kind == ChangeObject {
+			visit(c.Object, c.prev)
 		}
-	}
-	return nil
+	})
 }
 
 // DeltaSince returns the changes applied after revision since, up to this
@@ -136,28 +121,15 @@ func (sn *Snapshot) DeltaSince(since uint64) (*Delta, error) {
 		return nil, errFutureRevision(since, sn.rev)
 	}
 	if sn.source == nil {
-		return nil, fmt.Errorf("plus: snapshot has no change-feed source")
+		return nil, errNoSource
 	}
-	changes, err := sn.source.ChangesSince(since)
-	if err != nil {
+	d := &Delta{Since: since, Rev: sn.rev}
+	// The backend may have advanced past this snapshot; the walk stops at
+	// the window the snapshot covers.
+	if err := sn.source.walkChangesSince(since, sn.rev, func(c *Change) {
+		d.Changes = append(d.Changes, *c)
+	}); err != nil {
 		return nil, err
 	}
-	// The backend may have advanced past this snapshot; keep only the
-	// window the snapshot covers.
-	i := sort.Search(len(changes), func(i int) bool { return changes[i].Rev > sn.rev })
-	return &Delta{Since: since, Rev: sn.rev, Changes: changes[:i]}, nil
-}
-
-// checkContiguous verifies a gathered change window covers (since, rev]
-// with no gaps; a gap means part of the window aged out of a bounded feed.
-func checkContiguous(changes []Change, since, rev uint64) error {
-	if uint64(len(changes)) != rev-since {
-		return ErrTooFarBehind
-	}
-	for i, c := range changes {
-		if c.Rev != since+uint64(i)+1 {
-			return ErrTooFarBehind
-		}
-	}
-	return nil
+	return d, nil
 }

@@ -1,11 +1,10 @@
 package plus
 
 import (
-	"encoding/binary"
-	"encoding/json"
+	"bufio"
 	"fmt"
-	"hash/crc32"
 	"os"
+	"path/filepath"
 	"sort"
 )
 
@@ -26,94 +25,29 @@ func (s *LogBackend) Compact() error {
 	if err != nil {
 		return fmt.Errorf("plus: compact: %w", err)
 	}
-	defer os.Remove(tmpPath) // no-op after a successful rename
-
-	var written int64
-	writeRec := func(kind byte, v interface{}) error {
-		body, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		payload := append([]byte{kind}, body...)
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-		if _, err := tmp.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := tmp.Write(payload); err != nil {
-			return err
-		}
-		written += int64(8 + len(payload))
-		return nil
-	}
-
-	ids := make([]string, 0, len(s.objects))
-	for id := range s.objects {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	// Compaction renumbers history: replaying the rewritten log yields one
-	// record per live object instead of every superseded version, so old
-	// revision numbers stop naming the same prefixes. Rotate the epoch
-	// (stranded cursors get a 410-resync instead of silently wrong deltas)
-	// and record the replay base so the counter resumes at its current
-	// height — in-process consumers keep their revision-numbered state.
-	live := uint64(len(s.objects))
-	for _, id := range ids {
-		live += uint64(len(s.out[id]) + len(s.surrogates[id]))
-	}
 	nextEpoch := newEpoch()
-	if err := writeRec(recEpoch, epochRecord{Epoch: nextEpoch, Base: s.revision.Load() - live}); err != nil {
+	written, err := s.writeLive(tmp, nextEpoch)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmpPath, s.path)
+	}
+	if err != nil {
 		tmp.Close()
+		os.Remove(tmpPath)
 		return fmt.Errorf("plus: compact: %w", err)
 	}
-	for _, id := range ids {
-		if err := writeRec(recObject, s.objects[id]); err != nil {
-			tmp.Close()
-			return fmt.Errorf("plus: compact: %w", err)
-		}
-	}
-	for _, id := range ids {
-		for _, e := range s.out[id] {
-			if err := writeRec(recEdge, e); err != nil {
-				tmp.Close()
-				return fmt.Errorf("plus: compact: %w", err)
-			}
-		}
-		for _, sp := range s.surrogates[id] {
-			if err := writeRec(recSurrogate, sp); err != nil {
-				tmp.Close()
-				return fmt.Errorf("plus: compact: %w", err)
-			}
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("plus: compact sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("plus: compact close: %w", err)
-	}
 
-	// Swap the compacted log in and repoint the store's handle.
-	if err := s.f.Close(); err != nil {
-		return fmt.Errorf("plus: compact: close old log: %w", err)
-	}
-	if err := os.Rename(tmpPath, s.path); err != nil {
-		return fmt.Errorf("plus: compact rename: %w", err)
-	}
-	f, err := os.OpenFile(s.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("plus: compact reopen: %w", err)
-	}
-	if _, err := f.Seek(written, 0); err != nil {
-		f.Close()
-		return fmt.Errorf("plus: compact seek: %w", err)
-	}
-	s.f = f
+	// The renamed file is now the log, and tmp is already positioned at
+	// its end. The old handle points at the replaced file, so its close
+	// error no longer matters.
+	_ = s.f.Close()
+	s.f = tmp
 	s.size = written
+	// The new log was written from the live state, so whatever tail a
+	// failed append left behind is gone.
+	s.failed = nil
 	// The compacted log holds only live state; drop the in-memory history
 	// so it matches what a reopen would reconstruct.
 	s.history = map[string][]Object{}
@@ -131,26 +65,80 @@ func (s *LogBackend) Compact() error {
 	// old epoch, and the handler ends them when it notices the rotation
 	// (the client then reconnects and resyncs through the 410 path).
 	s.broadcast()
+
+	// The rename is durable only once its directory entry is.
+	if err := syncDir(filepath.Dir(s.path)); err != nil {
+		return fmt.Errorf("plus: compact: sync dir: %w", err)
+	}
 	return nil
 }
 
-// EdgesFrom returns the outgoing edges of an object, in insertion order.
-func (s *LogBackend) EdgesFrom(id string) []Edge {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]Edge(nil), s.out[id]...)
+// writeLive writes the live state as a fresh log to f: an epoch record,
+// then every object, edge and surrogate. It returns the bytes written.
+// Caller holds the core's write lock.
+func (s *LogBackend) writeLive(f *os.File, epoch string) (int64, error) {
+	ids := make([]string, 0, len(s.objects))
+	for id := range s.objects {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+
+	// Compaction renumbers history: replaying the rewritten log yields one
+	// record per live object instead of every superseded version, so old
+	// revision numbers stop naming the same prefixes. The caller rotates
+	// the epoch (stranded cursors get a 410-resync instead of silently
+	// wrong deltas); the epoch record carries the replay base so the
+	// counter resumes at its current height — in-process consumers keep
+	// their revision-numbered state.
+	live := uint64(len(s.objects))
+	for _, id := range ids {
+		live += uint64(len(s.out[id]) + len(s.surrogates[id]))
+	}
+
+	w := bufio.NewWriter(f)
+	var written int64
+	var buf []byte
+	put := func(kind byte, v any) error {
+		var err error
+		if buf, err = appendRecord(buf[:0], kind, v); err != nil {
+			return err
+		}
+		written += int64(len(buf))
+		_, err = w.Write(buf)
+		return err
+	}
+	if err := put(recEpoch, epochRecord{Epoch: epoch, Base: s.revision.Load() - live}); err != nil {
+		return 0, err
+	}
+	for _, id := range ids {
+		if err := put(recObject, s.objects[id]); err != nil {
+			return 0, err
+		}
+	}
+	for _, id := range ids {
+		for _, e := range s.out[id] {
+			if err := put(recEdge, e); err != nil {
+				return 0, err
+			}
+		}
+		for _, sp := range s.surrogates[id] {
+			if err := put(recSurrogate, sp); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return written, w.Flush()
 }
 
-// EdgesTo returns the incoming edges of an object, in insertion order.
-func (s *LogBackend) EdgesTo(id string) []Edge {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]Edge(nil), s.in[id]...)
-}
-
-// SurrogatesOf returns the stored surrogate specs for an object.
-func (s *LogBackend) SurrogatesOf(id string) []SurrogateSpec {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]SurrogateSpec(nil), s.surrogates[id]...)
+// syncDir fsyncs a directory so a rename inside it survives a crash.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }

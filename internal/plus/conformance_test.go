@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -59,7 +60,7 @@ func conformanceHarnesses() []backendHarness {
 		{
 			name: "mem",
 			open: func(t *testing.T) (Backend, string) {
-				b := NewMemBackend(4)
+				b := NewMemBackend()
 				t.Cleanup(func() { b.Close() })
 				return b, ""
 			},
@@ -84,6 +85,7 @@ func TestBackendConformance(t *testing.T) {
 			t.Run("ChangesMatchSnapshotDiff", func(t *testing.T) { conformChangesSnapshotDiff(t, h) })
 			t.Run("ChangesErrors", func(t *testing.T) { conformChangesErrors(t, h) })
 			t.Run("WalkMatchesChanges", func(t *testing.T) { conformWalkChanges(t, h) })
+			t.Run("ChangeHorizon", func(t *testing.T) { conformChangeHorizon(t, h) })
 			t.Run("LineageEngine", func(t *testing.T) { conformLineage(t, h) })
 			t.Run("OPMRoundTrip", func(t *testing.T) { conformOPM(t, h) })
 			if h.reopen != nil {
@@ -418,21 +420,21 @@ func conformChangesErrors(t *testing.T, h backendHarness) {
 	}
 }
 
-// TestLogBackendChangeHorizon exercises the durable backend's bounded
-// resident window: the log keeps the full history on disk, but only the
-// recent window answers ChangesSince — older requests take the
-// too-far-behind rebuild path.
-func TestLogBackendChangeHorizon(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "horizon.log")
-	b, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
+// conformChangeHorizon exercises the bounded resident window: requests
+// inside it are served, requests past it fail with ErrTooFarBehind (the
+// full-rebuild escape hatch), shrinking discards the oldest entries, and
+// concurrent writers keep the feed contiguous. A durable backend still
+// holds everything in its log: a reopen replays the full history.
+func conformChangeHorizon(t *testing.T, h backendHarness) {
+	b, path := h.open(t)
+	hb := b.(interface {
+		ChangeHorizon() int
+		SetChangeHorizon(int)
+	})
+	if hb.ChangeHorizon() != DefaultChangeHorizon {
+		t.Fatalf("default horizon = %d", hb.ChangeHorizon())
 	}
-	t.Cleanup(func() { b.Close() })
-	if b.ChangeHorizon() != DefaultLogChangeHorizon {
-		t.Fatalf("default horizon = %d", b.ChangeHorizon())
-	}
-	b.SetChangeHorizon(4)
+	hb.SetChangeHorizon(4)
 	for i := 0; i < 20; i++ {
 		if err := b.PutObject(Object{ID: fmt.Sprintf("o%d", i), Kind: Data, Name: "o"}); err != nil {
 			t.Fatal(err)
@@ -442,62 +444,15 @@ func TestLogBackendChangeHorizon(t *testing.T) {
 	if got, err := b.ChangesSince(rev - 4); err != nil || len(got) != 4 {
 		t.Fatalf("ChangesSince(rev-4) = %d changes, %v", len(got), err)
 	}
+	if tail, err := b.ChangesSince(rev - 2); err != nil || len(tail) != 2 {
+		t.Fatalf("ChangesSince(rev-2) = %d changes, %v", len(tail), err)
+	}
+	// Far past the window: too far behind.
 	if _, err := b.ChangesSince(0); !errors.Is(err, ErrTooFarBehind) {
 		t.Errorf("ChangesSince(0) = %v, want ErrTooFarBehind", err)
 	}
-	// Shrinking discards the oldest retained entries.
-	b.SetChangeHorizon(1)
-	if _, err := b.ChangesSince(rev - 2); !errors.Is(err, ErrTooFarBehind) {
-		t.Errorf("after shrink, ChangesSince(rev-2) = %v, want ErrTooFarBehind", err)
-	}
-	if got, err := b.ChangesSince(rev - 1); err != nil || len(got) != 1 {
-		t.Errorf("after shrink, ChangesSince(rev-1) = %d changes, %v", len(got), err)
-	}
-	// The log itself still holds everything: a reopen replays the full
-	// history (fresh window, fresh revision numbering).
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	b2, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { b2.Close() })
-	if b2.NumObjects() != 20 {
-		t.Fatalf("reopened objects = %d, want 20", b2.NumObjects())
-	}
-	if got, err := b2.ChangesSince(0); err != nil || len(got) != 20 {
-		t.Errorf("reopened ChangesSince(0) = %d changes, %v", len(got), err)
-	}
-}
-
-// TestMemBackendChangeHorizon exercises the bounded ring: requests inside
-// the retained window are served, requests past it fail with
-// ErrTooFarBehind (the full-rebuild escape hatch), and concurrent writers
-// keep the merged feed contiguous.
-func TestMemBackendChangeHorizon(t *testing.T) {
-	m := NewMemBackend(2)
-	t.Cleanup(func() { m.Close() })
-	m.SetChangeHorizon(4)
-
-	for i := 0; i < 20; i++ {
-		if err := m.PutObject(Object{ID: fmt.Sprintf("o%d", i), Kind: Data, Name: "o"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rev := m.Revision()
-	// The last few revisions are always retained (per-shard horizon 4 on
-	// 2 shards retains at least the 4 newest overall).
-	tail, err := m.ChangesSince(rev - 2)
-	if err != nil || len(tail) != 2 {
-		t.Fatalf("ChangesSince(rev-2) = %d changes, %v", len(tail), err)
-	}
-	// Far past the ring: too far behind.
-	if _, err := m.ChangesSince(0); !errors.Is(err, ErrTooFarBehind) {
-		t.Errorf("ChangesSince(0) = %v, want ErrTooFarBehind", err)
-	}
 	// DeltaSince through a snapshot surfaces the same escape hatch.
-	sn, err := m.Snapshot()
+	sn, err := b.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,42 +460,58 @@ func TestMemBackendChangeHorizon(t *testing.T) {
 		t.Errorf("DeltaSince(0) = %v, want ErrTooFarBehind", err)
 	}
 
-	// Shrinking the horizon discards the oldest retained entries. With a
-	// per-shard capacity of 1 on 2 shards at most 2 changes survive, so a
-	// deep window is gone while the newest change is always retained.
-	m.SetChangeHorizon(1)
-	if _, err := m.ChangesSince(rev - 10); !errors.Is(err, ErrTooFarBehind) {
+	// Shrinking discards the oldest retained entries; the newest change
+	// is always retained.
+	hb.SetChangeHorizon(1)
+	if _, err := b.ChangesSince(rev - 10); !errors.Is(err, ErrTooFarBehind) {
 		t.Errorf("after shrink, ChangesSince(rev-10) = %v, want ErrTooFarBehind", err)
 	}
-	if got, err := m.ChangesSince(rev - 1); err != nil || len(got) != 1 {
+	if _, err := b.ChangesSince(rev - 2); !errors.Is(err, ErrTooFarBehind) {
+		t.Errorf("after shrink, ChangesSince(rev-2) = %v, want ErrTooFarBehind", err)
+	}
+	if got, err := b.ChangesSince(rev - 1); err != nil || len(got) != 1 {
 		t.Errorf("after shrink, ChangesSince(rev-1) = %d changes, %v", len(got), err)
 	}
 
-	// Concurrent writers on different shards: merged feed stays contiguous
-	// within the retained window.
-	m2 := NewMemBackend(4)
-	t.Cleanup(func() { m2.Close() })
+	if h.reopen != nil {
+		// The log itself still holds everything: a reopen replays the
+		// full history (fresh window, fresh revision numbering).
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b2 := h.reopen(t, path)
+		if b2.NumObjects() != 20 {
+			t.Fatalf("reopened objects = %d, want 20", b2.NumObjects())
+		}
+		if got, err := b2.ChangesSince(0); err != nil || len(got) != 20 {
+			t.Errorf("reopened ChangesSince(0) = %d changes, %v", len(got), err)
+		}
+	}
+
+	// Concurrent writers: the feed stays contiguous within the retained
+	// window.
+	b3, _ := h.open(t)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				_ = m2.PutObject(Object{ID: fmt.Sprintf("w%d-%d", w, i), Kind: Data, Name: "w"})
+				_ = b3.PutObject(Object{ID: fmt.Sprintf("w%d-%d", w, i), Kind: Data, Name: "w"})
 			}
 		}(w)
 	}
 	wg.Wait()
-	all, err := m2.ChangesSince(0)
+	all, err := b3.ChangesSince(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != 200 {
-		t.Fatalf("merged feed has %d changes, want 200", len(all))
+		t.Fatalf("feed has %d changes, want 200", len(all))
 	}
 	for i, c := range all {
 		if c.Rev != uint64(i)+1 {
-			t.Fatalf("merged feed gap at %d: rev %d", i, c.Rev)
+			t.Fatalf("feed gap at %d: rev %d", i, c.Rev)
 		}
 	}
 }
@@ -890,15 +861,64 @@ func conformReopen(t *testing.T, h backendHarness) {
 	if err := b.PutSurrogate(SurrogateSpec{ForID: "b", ID: "b'", Name: "anon", InfoScore: 0.5}); err != nil {
 		t.Fatal(err)
 	}
+	// Every write path must reach the log: a batch, a replacement (which
+	// moves the old version to history) and objects with and without
+	// features — an empty features map must come back as it was stored.
+	if _, err := b.Apply(Batch{
+		Objects: []Object{
+			{ID: "e", Kind: Data, Name: "batched", Features: map[string]string{"fmt": "csv", "rows": "12"}},
+			{ID: "f", Kind: Invocation, Name: "empty features", Features: map[string]string{}, Lowest: "Protected", Protect: "hide"},
+		},
+		Edges:      []Edge{{From: "c", To: "f", Label: "input-to", Marking: "surrogate", Lowest: "Protected"}},
+		Surrogates: []SurrogateSpec{{ForID: "f", ID: "f'", Name: "anon f", Features: map[string]string{"k": "v"}, InfoScore: 0.25}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.PutObject(Object{ID: "a", Kind: Data, Name: "a v2", Features: map[string]string{"rev": "2"}}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := b.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	history := b.History("a")
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
 	b2 := h.reopen(t, path)
-	if b2.NumObjects() != 3 || b2.NumEdges() != 2 {
-		t.Errorf("recovered %d objects %d edges, want 3, 2", b2.NumObjects(), b2.NumEdges())
+	if b2.NumObjects() != 5 || b2.NumEdges() != 3 {
+		t.Errorf("recovered %d objects %d edges, want 5, 3", b2.NumObjects(), b2.NumEdges())
 	}
 	if got := b2.SurrogatesOf("b"); len(got) != 1 {
 		t.Error("surrogate lost on reopen")
+	}
+	// The reopened store holds exactly what the live one did, record by
+	// record.
+	after, err := b2.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Revision() != before.Revision() || after.NumObjects() != before.NumObjects() {
+		t.Errorf("reopened at revision %d with %d objects, want %d with %d",
+			after.Revision(), after.NumObjects(), before.Revision(), before.NumObjects())
+	}
+	for _, o := range before.Objects() {
+		id := o.ID
+		if got, ok := after.Object(id); !ok || !reflect.DeepEqual(got, o) {
+			t.Errorf("object %s: reopened %#v, live %#v", id, got, o)
+		}
+		if got, want := after.Out(id), before.Out(id); !reflect.DeepEqual(got, want) {
+			t.Errorf("out edges of %s: reopened %#v, live %#v", id, got, want)
+		}
+		if got, want := after.In(id), before.In(id); !reflect.DeepEqual(got, want) {
+			t.Errorf("in edges of %s: reopened %#v, live %#v", id, got, want)
+		}
+		if got, want := after.Surrogates(id), before.Surrogates(id); !reflect.DeepEqual(got, want) {
+			t.Errorf("surrogates of %s: reopened %#v, live %#v", id, got, want)
+		}
+	}
+	if got := b2.History("a"); len(history) != 1 || !reflect.DeepEqual(got, history) {
+		t.Errorf("history of a: reopened %#v, live %#v", got, history)
 	}
 	// The backend stays writable after recovery.
 	if err := b2.PutObject(Object{ID: "d", Kind: Invocation, Name: "proc"}); err != nil {

@@ -172,7 +172,7 @@ func TestHealthzCacheStats(t *testing.T) {
 // TestHealthzMemBackend exercises the probe over the volatile backend,
 // where Size is 0 but counts and revision still flow.
 func TestHealthzMemBackend(t *testing.T) {
-	m := NewMemBackend(0)
+	m := NewMemBackend()
 	t.Cleanup(func() { m.Close() })
 	srv := httptest.NewServer(NewServer(NewEngine(m, privilege.TwoLevel())))
 	t.Cleanup(srv.Close)

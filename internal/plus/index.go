@@ -28,8 +28,9 @@ import (
 // Those probes fall back to a linear scan of the probing snapshot and are
 // counted as index misses.
 
-// indexRow is what the index remembers about one live object: enough to
-// unpublish its old postings when a replacement arrives on the feed.
+// indexRow is one object version's postings keys: what the index
+// publishes for it, and unpublishes when a replacement arrives on the
+// feed.
 type indexRow struct {
 	kind  intern.Sym
 	name  intern.Sym
@@ -105,7 +106,10 @@ type backendIndex struct {
 	byKind map[intern.Sym][]string
 	byName map[intern.Sym][]string
 	byAttr map[uint64][]string
-	rows   map[string]indexRow
+	// objects counts the indexed objects. The index keeps no per-object
+	// rows: a replacement's change carries the version it replaced,
+	// whose postings it unpublishes.
+	objects int
 
 	attrEntries int // total feature pairs indexed
 
@@ -122,7 +126,7 @@ func (ix *backendIndex) stats() IndexStats {
 	ix.mu.RLock()
 	st := IndexStats{
 		Rev:         ix.rev,
-		KindEntries: len(ix.rows),
+		KindEntries: ix.objects,
 		NameEntries: 0,
 		AttrEntries: ix.attrEntries,
 	}
@@ -183,11 +187,9 @@ func (ix *backendIndex) advanceLocked(sn *Snapshot) {
 		ix.builds.Add(1)
 		return
 	}
-	// The walk skips the []Change materialization and merge-sort of
-	// DeltaSince: edges and surrogates don't carry kind/name/attr
-	// postings, and applyObjectLocked only needs per-object revision
-	// order, which the walk guarantees. A failed walk may have applied a
-	// partial delta; the rebuild below discards it wholesale.
+	// The walk skips the []Change materialization of DeltaSince: edges
+	// and surrogates don't carry kind/name/attr postings. A failed walk
+	// visits nothing; the rebuild below resyncs from the snapshot.
 	if err := sn.walkObjectChanges(ix.rev, ix.applyObjectLocked); err != nil {
 		ix.rebuildLocked(sn)
 		ix.rebuilds.Add(1)
@@ -202,28 +204,28 @@ func (ix *backendIndex) rebuildLocked(sn *Snapshot) {
 	ix.byKind = make(map[intern.Sym][]string, 8)
 	ix.byName = make(map[intern.Sym][]string, n)
 	ix.byAttr = make(map[uint64][]string, n)
-	ix.rows = make(map[string]indexRow, n)
 	ix.attrEntries = 0
+	ix.objects = n
 	for id, o := range sn.objects {
-		row := rowFor(o)
-		ix.rows[id] = row
-		ix.publishLocked(id, row)
+		ix.publishLocked(id, rowFor(o))
 	}
 	ix.rev = sn.rev
 	ix.built = true
 }
 
-// applyObjectLocked folds one object store/replace from the change feed
-// into the postings.
-func (ix *backendIndex) applyObjectLocked(o Object) {
+// applyObjectLocked folds one object store (prev nil) or replacement of
+// prev from the change feed into the postings.
+func (ix *backendIndex) applyObjectLocked(o Object, prev *Object) {
 	row := rowFor(o)
-	if old, existed := ix.rows[o.ID]; existed {
+	if prev == nil {
+		ix.objects++
+	} else {
+		old := rowFor(*prev)
 		if old.equal(row) {
 			return
 		}
 		ix.unpublishLocked(o.ID, old)
 	}
-	ix.rows[o.ID] = row
 	ix.publishLocked(o.ID, row)
 }
 

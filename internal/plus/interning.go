@@ -37,9 +37,12 @@ func internSurrogate(sp SurrogateSpec) SurrogateSpec {
 	return sp
 }
 
+// internFeatures returns nil for an empty map: the log's JSON encoding
+// omits empty features, so replay decodes nil, and the live store must
+// hold exactly what a reopen would.
 func internFeatures(f map[string]string) map[string]string {
 	if len(f) == 0 {
-		return f
+		return nil
 	}
 	out := make(map[string]string, len(f))
 	for k, v := range f {

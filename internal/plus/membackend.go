@@ -1,43 +1,58 @@
 package plus
 
 import (
-	"cmp"
 	"fmt"
-	"hash/maphash"
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// MemBackend is the volatile, serving-optimised storage engine: the index
-// is hash-partitioned into shards with per-shard RWMutexes, so point
-// reads and writes on different objects proceed concurrently instead of
-// funnelling through one global lock. It offers the same contract as
-// LogBackend minus durability (Size is 0 and contents die with the
-// process), and the same snapshot isolation: lineage queries run over
-// immutable revision-stamped clones. It implements Backend.
-//
-// Sharding invariants: an object, its history, its outgoing edges and its
-// surrogates live in the shard of its id; an edge's incoming copy lives
-// in the shard of its To id. Cross-shard operations (PutEdge, Apply,
-// Snapshot) take the shards they need in index order, so lock ordering is
-// global and deadlock-free.
+// MemBackend is the in-memory store core: the five record maps behind one
+// RWMutex, one revision-ordered change window, a per-revision snapshot
+// cache, the Notify broadcaster and the secondary index. On its own it is
+// the volatile backend (contents die with the process, Size is 0).
+// LogBackend adds durability underneath it: every write reaches the log
+// through the core's persist hook before the core applies it. Lineage
+// queries run over immutable revision-stamped snapshots, so traversal
+// never blocks writers. It implements Backend.
 type MemBackend struct {
-	shards []memShard
-	seed   maphash.Seed
+	mu         sync.RWMutex
+	objects    map[string]Object
+	history    map[string][]Object // superseded versions, oldest first
+	out        map[string][]Edge   // keyed by From
+	in         map[string][]Edge   // keyed by To
+	surrogates map[string][]SurrogateSpec
+	edges      int
 
-	// horizon bounds each shard's change ring: the backend retains at
-	// least the last horizon changes overall (more when writes spread
-	// across shards). Guarded by holding every shard lock.
-	horizon int
+	// persist makes a validated batch durable before the core applies
+	// it; nil for a volatile backend. It runs under the write lock, and
+	// an error leaves the core untouched.
+	persist func(b *Batch) error
 
-	// epoch is minted per instance: contents die with the process, so a
-	// cursor from an earlier life must be refused, not resumed.
+	// revision increments on every applied record; engines use it to
+	// invalidate cached protected accounts and snapshots when the store
+	// changes. Atomic so the snapshot fast path never takes mu.
+	revision atomic.Uint64
+
+	// snap caches the last snapshot clone; valid while its revision
+	// matches the store's. Readers hitting the cache never touch mu.
+	snap atomic.Pointer[Snapshot]
+
+	// changes is the bounded in-memory change feed: changes[i] was
+	// applied at revision changesBase+i+1. Only a recent window is kept
+	// resident — long-lived update-heavy stores would otherwise duplicate
+	// their whole write history in memory. Requests past the window fail
+	// with ErrTooFarBehind and callers rebuild from a snapshot.
+	changes       []Change
+	changesBase   uint64
+	changeHorizon int
+
+	// epoch identifies the revision numbering (Backend.Epoch): minted per
+	// instance for a volatile backend, persisted and rotated by the log.
+	// Guarded by mu.
 	epoch string
 
 	// notifier wakes change-feed followers on every applied mutation
-	// (Backend.Notify); it has its own lock, independent of the shards'.
+	// (Backend.Notify); it has its own lock and never touches mu.
 	notifier
 
 	// idx is the lazily-maintained secondary index (kind/name/attr ->
@@ -45,510 +60,336 @@ type MemBackend struct {
 	// probes, never by the write path.
 	idx *backendIndex
 
-	revision atomic.Uint64
-	edges    atomic.Int64
-	snap     atomic.Pointer[Snapshot]
-	closed   atomic.Bool
+	closed atomic.Bool
 }
 
-type memShard struct {
-	mu         sync.RWMutex
-	objects    map[string]Object
-	history    map[string][]Object
-	out        map[string][]Edge
-	in         map[string][]Edge
-	surrogates map[string][]SurrogateSpec
-
-	// changes is a bounded ring of this shard's recent mutations (a
-	// record lands in the shard of its primary id: the object's, the
-	// edge's From, the surrogate's ForID). ChangesSince merges the rings
-	// by revision; a request older than the retained window fails with
-	// ErrTooFarBehind — the "too far behind, rebuild from a snapshot"
-	// escape hatch.
-	changes changeRing
-}
-
-// changeRing is a fixed-capacity circular buffer of changes in revision
-// order (per shard). Writers push under the shard's write lock.
-type changeRing struct {
-	buf  []Change
-	next int // write position once the buffer is full
-}
-
-// push appends a change, evicting the oldest once capacity cap is reached.
-func (r *changeRing) push(c Change, capacity int) {
-	if capacity <= 0 {
-		return
-	}
-	if len(r.buf) < capacity {
-		r.buf = append(r.buf, c)
-		return
-	}
-	if len(r.buf) > capacity {
-		// Horizon was lowered: keep the newest entries.
-		r.trim(capacity)
-	}
-	r.buf[r.next] = c
-	r.next = (r.next + 1) % len(r.buf)
-}
-
-// trim shrinks the ring to the newest capacity entries, normalising the
-// write position to 0.
-func (r *changeRing) trim(capacity int) {
-	ordered := r.ordered(nil)
-	if len(ordered) > capacity {
-		ordered = ordered[len(ordered)-capacity:]
-	}
-	r.buf = append([]Change(nil), ordered...)
-	r.next = 0
-}
-
-// ordered appends the ring's contents in push order to out.
-func (r *changeRing) ordered(out []Change) []Change {
-	if r.next < len(r.buf) {
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-		return out
-	}
-	return append(out, r.buf...)
-}
-
-// at returns the change at logical position i (0 = oldest retained).
-func (r *changeRing) at(i int) Change { return *r.ptrAt(i) }
-
-// ptrAt returns a pointer to the change at logical position i, valid only
-// while the shard lock is held (writers overwrite ring slots in place).
-func (r *changeRing) ptrAt(i int) *Change {
-	if r.next < len(r.buf) {
-		return &r.buf[(r.next+i)%len(r.buf)]
-	}
-	return &r.buf[i]
-}
-
-// collect appends the ring entries newer than since to out. Revisions are
-// monotone in logical order, so the matching entries are a suffix found by
-// binary search — O(log n + matches) instead of a full ring copy.
-func (r *changeRing) collect(since uint64, out []Change) []Change {
-	n := len(r.buf)
-	lo := sort.Search(n, func(i int) bool { return r.ptrAt(i).Rev > since })
-	for i := lo; i < n; i++ {
-		out = append(out, r.at(i))
-	}
-	return out
-}
-
-// DefaultMemShards is the shard count NewMemBackend uses when given 0.
-const DefaultMemShards = 16
-
-// DefaultMemChangeHorizon is the per-shard change-ring capacity: how many
-// recent mutations each shard retains for ChangesSince before readers are
-// told to rebuild from a snapshot.
-const DefaultMemChangeHorizon = 4096
+// DefaultChangeHorizon is how many recent changes a backend keeps
+// resident for ChangesSince.
+const DefaultChangeHorizon = 1 << 16
 
 var _ Backend = (*MemBackend)(nil)
 
-// NewMemBackend creates an empty in-memory backend with the given number
-// of hash partitions (0 means DefaultMemShards).
-func NewMemBackend(shards int) *MemBackend {
-	if shards <= 0 {
-		shards = DefaultMemShards
-	}
-	m := &MemBackend{
-		shards:  make([]memShard, shards),
-		seed:    maphash.MakeSeed(),
-		horizon: DefaultMemChangeHorizon,
-		epoch:   newEpoch(),
-		idx:     newBackendIndex(),
-	}
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.objects = map[string]Object{}
-		sh.history = map[string][]Object{}
-		sh.out = map[string][]Edge{}
-		sh.in = map[string][]Edge{}
-		sh.surrogates = map[string][]SurrogateSpec{}
-	}
-	return m
-}
+// NewMemBackend creates an empty volatile backend with a fresh epoch:
+// contents die with the process, so a cursor from an earlier life must be
+// refused, not resumed.
+func NewMemBackend() *MemBackend { return newMemBackend(newEpoch()) }
 
-// NumShards reports the partition count.
-func (m *MemBackend) NumShards() int { return len(m.shards) }
-
-func (m *MemBackend) shardIndex(id string) int {
-	return int(maphash.String(m.seed, id) % uint64(len(m.shards)))
-}
-
-func (m *MemBackend) shardFor(id string) *memShard {
-	return &m.shards[m.shardIndex(id)]
-}
-
-// lockAll / runlockAll take every shard in index order; used by Apply and
-// Snapshot, which need a globally consistent view.
-func (m *MemBackend) lockAll() {
-	for i := range m.shards {
-		m.shards[i].mu.Lock()
+func newMemBackend(epoch string) *MemBackend {
+	return &MemBackend{
+		objects:       map[string]Object{},
+		history:       map[string][]Object{},
+		out:           map[string][]Edge{},
+		in:            map[string][]Edge{},
+		surrogates:    map[string][]SurrogateSpec{},
+		changeHorizon: DefaultChangeHorizon,
+		epoch:         epoch,
+		idx:           newBackendIndex(),
 	}
 }
 
-func (m *MemBackend) unlockAll() {
-	for i := range m.shards {
-		m.shards[i].mu.Unlock()
+// commit is the one write path. Under the write lock it refuses a closed
+// backend, runs check (the caller's validation against current state),
+// persists the batch, applies its typed records and wakes followers. It
+// returns the revision after the batch's last record.
+func (m *MemBackend) commit(b *Batch, check func() error) (uint64, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed.Load() {
+		return 0, ErrClosed
+	}
+	if err := check(); err != nil {
+		return 0, err
+	}
+	if b.Len() == 0 {
+		return m.revision.Load(), nil
+	}
+	if m.persist != nil {
+		if err := m.persist(b); err != nil {
+			return 0, err
+		}
+	}
+	for _, o := range b.Objects {
+		m.applyObject(o)
+	}
+	for _, e := range b.Edges {
+		m.applyEdge(e)
+	}
+	for _, sp := range b.Surrogates {
+		m.applySurrogate(sp)
+	}
+	m.broadcast()
+	return m.revision.Load(), nil
+}
+
+// applyObject, applyEdge and applySurrogate fold one record into the
+// maps and the change feed; callers hold the write lock (or own the
+// backend exclusively, as log replay does).
+func (m *MemBackend) applyObject(o Object) {
+	o = internObject(o)
+	c := Change{Kind: ChangeObject, Object: o}
+	if prev, existed := m.objects[o.ID]; existed {
+		h := append(m.history[o.ID], prev)
+		m.history[o.ID] = h
+		c.prev = &h[len(h)-1] // history entries are never modified
+	}
+	m.objects[o.ID] = o
+	m.record(c)
+}
+
+func (m *MemBackend) applyEdge(e Edge) {
+	e = internEdge(e)
+	m.out[e.From] = append(m.out[e.From], e)
+	m.in[e.To] = append(m.in[e.To], e)
+	m.edges++
+	m.record(Change{Kind: ChangeEdge, Edge: e})
+}
+
+func (m *MemBackend) applySurrogate(sp SurrogateSpec) {
+	sp = internSurrogate(sp)
+	m.surrogates[sp.ForID] = append(m.surrogates[sp.ForID], sp)
+	m.record(Change{Kind: ChangeSurrogate, Surrogate: sp})
+}
+
+// record stamps c with the next revision and appends it to the change
+// window, dropping the oldest retained changes once the window exceeds
+// the horizon by half (the slack keeps the copy amortised O(1) per
+// write).
+func (m *MemBackend) record(c Change) {
+	c.Rev = m.revision.Add(1)
+	m.changes = append(m.changes, c)
+	if h := m.changeHorizon; len(m.changes) > h+h/2 {
+		m.dropChanges(len(m.changes) - h)
 	}
 }
 
-func (m *MemBackend) rlockAll() {
-	for i := range m.shards {
-		m.shards[i].mu.RLock()
-	}
+func (m *MemBackend) dropChanges(n int) {
+	m.changesBase += uint64(n)
+	m.changes = append(m.changes[:0:0], m.changes[n:]...)
 }
 
-func (m *MemBackend) runlockAll() {
-	for i := range m.shards {
-		m.shards[i].mu.RUnlock()
+func (m *MemBackend) hasObject(id string) bool {
+	_, ok := m.objects[id]
+	return ok
+}
+
+func (m *MemBackend) hasEdge(from, to string) bool {
+	for _, prev := range m.out[from] {
+		if prev.To == to {
+			return true
+		}
 	}
+	return false
 }
 
 // PutObject stores (or replaces) a provenance object.
 func (m *MemBackend) PutObject(o Object) error {
-	if m.closed.Load() {
-		return ErrClosed
-	}
-	if err := validateObject(o); err != nil {
-		return err
-	}
-	o = internObject(o)
-	sh := m.shardFor(o.ID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if prev, existed := sh.objects[o.ID]; existed {
-		sh.history[o.ID] = append(sh.history[o.ID], prev)
-	}
-	sh.objects[o.ID] = o
-	sh.changes.push(Change{Rev: m.revision.Add(1), Kind: ChangeObject, Object: o}, m.horizon)
-	m.broadcast()
-	return nil
+	_, err := m.commit(&Batch{Objects: []Object{o}}, func() error { return validateObject(o) })
+	return err
 }
 
 // PutEdge stores a provenance edge; both endpoints must exist.
 func (m *MemBackend) PutEdge(e Edge) error {
-	if m.closed.Load() {
-		return ErrClosed
-	}
-	if e.From == e.To {
-		return fmt.Errorf("plus: self edge %s rejected", e.From)
-	}
-	fi, ti := m.shardIndex(e.From), m.shardIndex(e.To)
-	// Lock the two shards in index order (one lock when they collide).
-	lo, hi := fi, ti
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	m.shards[lo].mu.Lock()
-	defer m.shards[lo].mu.Unlock()
-	if hi != lo {
-		m.shards[hi].mu.Lock()
-		defer m.shards[hi].mu.Unlock()
-	}
-	from, to := &m.shards[fi], &m.shards[ti]
-	if _, ok := from.objects[e.From]; !ok {
-		return fmt.Errorf("plus: edge %s->%s: %w (from)", e.From, e.To, ErrNotFound)
-	}
-	if _, ok := to.objects[e.To]; !ok {
-		return fmt.Errorf("plus: edge %s->%s: %w (to)", e.From, e.To, ErrNotFound)
-	}
-	for _, prev := range from.out[e.From] {
-		if prev.To == e.To {
+	_, err := m.commit(&Batch{Edges: []Edge{e}}, func() error {
+		if !m.hasObject(e.From) {
+			return fmt.Errorf("plus: edge %s->%s: %w (from)", e.From, e.To, ErrNotFound)
+		}
+		if !m.hasObject(e.To) {
+			return fmt.Errorf("plus: edge %s->%s: %w (to)", e.From, e.To, ErrNotFound)
+		}
+		if e.From == e.To {
+			return fmt.Errorf("plus: self edge %s rejected", e.From)
+		}
+		if m.hasEdge(e.From, e.To) {
 			return fmt.Errorf("plus: duplicate edge %s->%s", e.From, e.To)
 		}
-	}
-	e = internEdge(e)
-	from.out[e.From] = append(from.out[e.From], e)
-	to.in[e.To] = append(to.in[e.To], e)
-	m.edges.Add(1)
-	from.changes.push(Change{Rev: m.revision.Add(1), Kind: ChangeEdge, Edge: e}, m.horizon)
-	m.broadcast()
-	return nil
+		return validateEdgeText(e)
+	})
+	return err
 }
 
 // PutSurrogate stores a surrogate version of an object.
 func (m *MemBackend) PutSurrogate(sp SurrogateSpec) error {
-	if m.closed.Load() {
-		return ErrClosed
-	}
-	if err := validateSurrogate(sp); err != nil {
-		return err
-	}
-	sh := m.shardFor(sp.ForID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.objects[sp.ForID]; !ok {
-		return fmt.Errorf("plus: surrogate for %s: %w", sp.ForID, ErrNotFound)
-	}
-	sp = internSurrogate(sp)
-	sh.surrogates[sp.ForID] = append(sh.surrogates[sp.ForID], sp)
-	sh.changes.push(Change{Rev: m.revision.Add(1), Kind: ChangeSurrogate, Surrogate: sp}, m.horizon)
-	m.broadcast()
-	return nil
+	_, err := m.commit(&Batch{Surrogates: []SurrogateSpec{sp}}, func() error {
+		if !m.hasObject(sp.ForID) {
+			return fmt.Errorf("plus: surrogate for %s: %w", sp.ForID, ErrNotFound)
+		}
+		return validateSurrogate(sp)
+	})
+	return err
 }
 
-// Apply stores a whole batch under all shard locks, returning the
-// revision after the batch's last record: validation failures leave the
-// backend untouched, and readers never observe a half-applied batch.
+// Apply validates the whole batch against the store's current state (plus
+// the batch's own objects), then stores every record under one write
+// lock — and, for the log, with one buffered write — returning the
+// revision after the batch's last record. Validation failures leave the
+// store untouched, and readers never observe a half-applied batch.
 func (m *MemBackend) Apply(b Batch) (uint64, error) {
-	if m.closed.Load() {
-		return 0, ErrClosed
-	}
-	m.lockAll()
-	defer m.unlockAll()
-	err := b.validate(
-		func(id string) bool {
-			_, ok := m.shardFor(id).objects[id]
-			return ok
-		},
-		func(from, to string) bool {
-			for _, prev := range m.shardFor(from).out[from] {
-				if prev.To == to {
-					return true
-				}
-			}
-			return false
-		},
-	)
-	if err != nil {
-		return 0, err
-	}
-	for _, o := range b.Objects {
-		o = internObject(o)
-		sh := m.shardFor(o.ID)
-		if prev, existed := sh.objects[o.ID]; existed {
-			sh.history[o.ID] = append(sh.history[o.ID], prev)
-		}
-		sh.objects[o.ID] = o
-		sh.changes.push(Change{Rev: m.revision.Add(1), Kind: ChangeObject, Object: o}, m.horizon)
-	}
-	for _, e := range b.Edges {
-		e = internEdge(e)
-		from, to := m.shardFor(e.From), m.shardFor(e.To)
-		from.out[e.From] = append(from.out[e.From], e)
-		to.in[e.To] = append(to.in[e.To], e)
-		m.edges.Add(1)
-		from.changes.push(Change{Rev: m.revision.Add(1), Kind: ChangeEdge, Edge: e}, m.horizon)
-	}
-	for _, sp := range b.Surrogates {
-		sp = internSurrogate(sp)
-		sh := m.shardFor(sp.ForID)
-		sh.surrogates[sp.ForID] = append(sh.surrogates[sp.ForID], sp)
-		sh.changes.push(Change{Rev: m.revision.Add(1), Kind: ChangeSurrogate, Surrogate: sp}, m.horizon)
-	}
-	m.broadcast()
-	// All shard locks are still held, so no concurrent writer can have
-	// advanced the counter past this batch's last record.
-	return m.revision.Load(), nil
+	return m.commit(&b, func() error { return b.validate(m) })
 }
 
 // GetObject fetches one object by id.
 func (m *MemBackend) GetObject(id string) (Object, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	if m.closed.Load() {
 		return Object{}, ErrClosed
 	}
-	sh := m.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	o, ok := sh.objects[id]
+	o, ok := m.objects[id]
 	if !ok {
 		return Object{}, fmt.Errorf("plus: %q: %w", id, ErrNotFound)
 	}
 	return o, nil
 }
 
-// History returns the superseded versions of an object, oldest first.
+// History returns the superseded versions of an object, oldest first; the
+// live version is not included. The log replays the full history on
+// open; Compact drops it (only live state is rewritten).
 func (m *MemBackend) History(id string) []Object {
-	sh := m.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return append([]Object(nil), sh.history[id]...)
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return append([]Object(nil), m.history[id]...)
 }
 
 // Objects returns every object (unspecified order).
 func (m *MemBackend) Objects() []Object {
-	var out []Object
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for _, o := range sh.objects {
-			out = append(out, o)
-		}
-		sh.mu.RUnlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	out := make([]Object, 0, len(m.objects))
+	for _, o := range m.objects {
+		out = append(out, o)
 	}
 	return out
 }
 
 // EdgesFrom returns the outgoing edges of an object, in insertion order.
 func (m *MemBackend) EdgesFrom(id string) []Edge {
-	sh := m.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return append([]Edge(nil), sh.out[id]...)
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return append([]Edge(nil), m.out[id]...)
 }
 
 // EdgesTo returns the incoming edges of an object, in insertion order.
 func (m *MemBackend) EdgesTo(id string) []Edge {
-	sh := m.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return append([]Edge(nil), sh.in[id]...)
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return append([]Edge(nil), m.in[id]...)
 }
 
 // SurrogatesOf returns the stored surrogate specs for an object.
 func (m *MemBackend) SurrogatesOf(id string) []SurrogateSpec {
-	sh := m.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return append([]SurrogateSpec(nil), sh.surrogates[id]...)
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return append([]SurrogateSpec(nil), m.surrogates[id]...)
 }
 
 // NumObjects reports how many objects the backend holds.
 func (m *MemBackend) NumObjects() int {
-	n := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		n += len(sh.objects)
-		sh.mu.RUnlock()
-	}
-	return n
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return len(m.objects)
 }
 
 // NumEdges reports how many edges the backend holds.
-func (m *MemBackend) NumEdges() int { return int(m.edges.Load()) }
+func (m *MemBackend) NumEdges() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.edges
+}
 
-// Revision returns a counter that increases with every stored record.
+// Revision returns a counter that increases with every stored record;
+// equal revisions imply identical contents (within one process).
 func (m *MemBackend) Revision() uint64 { return m.revision.Load() }
 
-// Epoch identifies this instance's revision numbering; volatile backends
-// mint a fresh epoch per construction.
-func (m *MemBackend) Epoch() string { return m.epoch }
+// Epoch identifies this backend's revision numbering.
+func (m *MemBackend) Epoch() string {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.epoch
+}
 
-// SetChangeHorizon resizes the per-shard change rings (minimum 0, which
-// retains nothing and forces every delta reader to rebuild). Safe to call
-// at any time; shrinking discards the oldest retained changes.
+// SetChangeHorizon resizes the resident change window (minimum 0, which
+// retains nothing and forces every delta reader to rebuild). Shrinking
+// discards the oldest retained changes.
 func (m *MemBackend) SetChangeHorizon(n int) {
-	if n < 0 {
-		n = 0
-	}
-	m.lockAll()
-	defer m.unlockAll()
-	m.horizon = n
-	for i := range m.shards {
-		m.shards[i].changes.trim(n)
+	n = max(n, 0)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.changeHorizon = n
+	if len(m.changes) > n {
+		m.dropChanges(len(m.changes) - n)
 	}
 }
 
-// ChangeHorizon reports the per-shard change-ring capacity.
+// ChangeHorizon reports the resident change-window capacity.
 func (m *MemBackend) ChangeHorizon() int {
-	m.shards[0].mu.RLock()
-	defer m.shards[0].mu.RUnlock()
-	return m.horizon
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.changeHorizon
 }
 
-// ChangeWindow reports the resident change-feed window across the
-// per-shard rings. The base is conservative: a ring at capacity may have
-// evicted, so the oldest position the merged feed is guaranteed to serve
-// is just before the oldest entry of the fullest-aged ring. Depth is the
-// total resident change count.
+// ChangeWindow reports the resident change-feed window; followers use it
+// (via /v1/stats and healthz) to compute their lag against the oldest
+// position the feed can still serve.
 func (m *MemBackend) ChangeWindow() FeedWindow {
-	m.rlockAll()
-	defer m.runlockAll()
-	w := FeedWindow{Horizon: m.horizon}
-	for i := range m.shards {
-		ring := &m.shards[i].changes
-		w.Depth += len(ring.buf)
-		if len(ring.buf) >= m.horizon && len(ring.buf) > 0 {
-			// This ring may have evicted history: the feed can only
-			// resume at or after its oldest retained entry.
-			if base := ring.at(0).Rev - 1; base > w.Base {
-				w.Base = base
-			}
-		}
-	}
-	return w
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return FeedWindow{Base: m.changesBase, Depth: len(m.changes), Horizon: m.changeHorizon}
 }
 
-// ChangesSince merges the per-shard rings into the ordered record deltas
-// applied after revision since. When part of that window has been evicted
-// from a ring it fails with ErrTooFarBehind: the caller is too far behind
-// the bounded feed and must rebuild from a fresh snapshot.
-func (m *MemBackend) ChangesSince(since uint64) ([]Change, error) {
+// feedRange maps the revision window (since, upTo] onto indexes of the
+// resident change slice. Caller holds mu.
+func (m *MemBackend) feedRange(since, upTo uint64) (lo, hi uint64, err error) {
 	if m.closed.Load() {
-		return nil, ErrClosed
-	}
-	m.rlockAll()
-	defer m.runlockAll()
-	if m.closed.Load() {
-		return nil, ErrClosed
+		return 0, 0, ErrClosed
 	}
 	rev := m.revision.Load()
 	if since > rev {
-		return nil, errFutureRevision(since, rev)
+		return 0, 0, errFutureRevision(since, rev)
 	}
-	var out []Change
-	for i := range m.shards {
-		out = m.shards[i].changes.collect(since, out)
+	if since < m.changesBase {
+		return 0, 0, ErrTooFarBehind
 	}
-	slices.SortFunc(out, func(a, b Change) int { return cmp.Compare(a.Rev, b.Rev) })
-	if err := checkContiguous(out, since, rev); err != nil {
+	upTo = max(min(upTo, rev), since)
+	return since - m.changesBase, upTo - m.changesBase, nil
+}
+
+// ChangesSince returns the records applied after revision since, in
+// order. Only the recent window (ChangeHorizon) is resident; a request
+// past it fails with ErrTooFarBehind and the caller rebuilds from a
+// snapshot.
+func (m *MemBackend) ChangesSince(since uint64) ([]Change, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	lo, hi, err := m.feedRange(since, m.revision.Load())
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return append([]Change(nil), m.changes[lo:hi]...), nil
 }
 
-// walkChangesSince streams every retained change with revision in
-// (since, upTo] to visit, shard by shard: no merging, no copying. Within
-// one shard — and therefore per primary id — changes arrive in revision
-// order; cross-shard order is unspecified. See changeWalker for the
-// contract, including the partial-visit-then-ErrTooFarBehind hazard.
+// walkChangesSince streams the retained changes with revision in
+// (since, upTo] to visit, in revision order, straight out of the resident
+// window: nothing is copied. The pointer passed to visit is valid only
+// for the duration of the call. A window that has aged out fails with
+// ErrTooFarBehind before any visit.
 func (m *MemBackend) walkChangesSince(since, upTo uint64, visit func(*Change)) error {
-	if m.closed.Load() {
-		return ErrClosed
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	lo, hi, err := m.feedRange(since, upTo)
+	if err != nil {
+		return err
 	}
-	m.rlockAll()
-	defer m.runlockAll()
-	if m.closed.Load() {
-		return ErrClosed
-	}
-	rev := m.revision.Load()
-	if since > rev {
-		return errFutureRevision(since, rev)
-	}
-	if upTo > rev {
-		upTo = rev
-	}
-	var seen uint64
-	for i := range m.shards {
-		ring := &m.shards[i].changes
-		n := len(ring.buf)
-		lo := sort.Search(n, func(i int) bool { return ring.ptrAt(i).Rev > since })
-		for j := lo; j < n; j++ {
-			c := ring.ptrAt(j)
-			if c.Rev > upTo {
-				break
-			}
-			visit(c)
-			seen++
-		}
-	}
-	if seen != upTo-since {
-		// Some shard evicted part of the window; the visits already made
-		// are moot, the caller must rebuild.
-		return ErrTooFarBehind
+	for i := lo; i < hi; i++ {
+		visit(&m.changes[i])
 	}
 	return nil
 }
 
-// Snapshot returns an immutable view of the backend at its current
-// revision, cached per revision like LogBackend's. The slow path briefly
-// read-locks every shard, which blocks writers but not other snapshot
-// readers; the fast path is a single atomic load.
+// Snapshot returns an immutable view of the store at its current
+// revision. The clone is cached: consecutive snapshots with no
+// intervening write return the same *Snapshot without taking the store
+// lock, so concurrent lineage readers scale with cores instead of
+// serializing on mu.
 func (m *MemBackend) Snapshot() (*Snapshot, error) {
 	if m.closed.Load() {
 		return nil, ErrClosed
@@ -556,30 +397,17 @@ func (m *MemBackend) Snapshot() (*Snapshot, error) {
 	if sn := m.snap.Load(); sn != nil && sn.rev == m.revision.Load() {
 		return sn, nil
 	}
-	m.rlockAll()
-	defer m.runlockAll()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	if m.closed.Load() {
 		return nil, ErrClosed
 	}
-	// With every shard read-locked no writer can hold a shard lock, so
-	// the revision is stable for the duration of the clone.
+	// Re-check under the lock: another reader may have cloned already.
 	rev := m.revision.Load()
 	if sn := m.snap.Load(); sn != nil && sn.rev == rev {
 		return sn, nil
 	}
-	sn := &Snapshot{
-		source:     m,
-		idx:        m.idx,
-		rev:        rev,
-		objects:    map[string]Object{},
-		out:        map[string][]Edge{},
-		in:         map[string][]Edge{},
-		surrogates: map[string][]SurrogateSpec{},
-	}
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sn.mergeInto(sh.objects, sh.out, sh.in, sh.surrogates)
-	}
+	sn := m.clone(rev)
 	m.snap.Store(sn)
 	return sn, nil
 }
@@ -601,8 +429,17 @@ func (m *MemBackend) Ping() error {
 // Close marks the backend closed; contents are discarded with the
 // process. Double close is a no-op.
 func (m *MemBackend) Close() error {
-	m.closed.Store(true)
-	m.snap.Store(nil)
-	m.broadcast() // wake parked followers so they observe the close
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.shut()
 	return nil
+}
+
+// shut marks the core closed and wakes parked followers so they observe
+// the close. Caller holds the write lock.
+func (m *MemBackend) shut() {
+	if !m.closed.Swap(true) {
+		m.snap.Store(nil)
+		m.broadcast()
+	}
 }

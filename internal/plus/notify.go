@@ -13,7 +13,7 @@ import (
 // revision) makes missed wakeups impossible: a write that lands between
 // the check and the select has already closed the grabbed channel.
 //
-// Both backends embed it; the /v2/changes long-poll consumes it instead
+// The store core embeds it; the /v2/changes long-poll consumes it instead
 // of the 20ms polling loop it replaced, so an idle follower burns zero
 // wakeups and a write is delivered at channel-close latency.
 type notifier struct {
@@ -50,7 +50,7 @@ func (n *notifier) broadcast() {
 	}
 }
 
-// Wakeups reports how many broadcasts found waiters to wake. Both
-// backends inherit it (Backend embeds notifier), giving the metrics
+// Wakeups reports how many broadcasts found waiters to wake. The store
+// core inherits it (MemBackend embeds notifier), giving the metrics
 // layer a change-feed wakeup counter.
 func (n *notifier) Wakeups() uint64 { return n.wakeups.Load() }

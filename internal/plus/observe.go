@@ -25,7 +25,7 @@ const HeaderRequestID = obs.HeaderRequestID
 // FeedWindow describes a backend's resident change-feed window: the
 // oldest position ChangesSince can still serve (Base — a cursor at or
 // after it resumes, one before it gets the 410 resync), the resident
-// change count and the configured capacity. Both backends report it;
+// change count and the configured capacity. The store core reports it;
 // followers use it to compute lag without guessing.
 type FeedWindow struct {
 	Base    uint64 `json:"base"`
@@ -34,11 +34,11 @@ type FeedWindow struct {
 }
 
 // changeWindower is the optional backend capability behind the
-// change-feed health block; both built-in backends implement it.
+// change-feed health block; the store core implements it.
 type changeWindower interface{ ChangeWindow() FeedWindow }
 
 // wakeupReporter is the optional backend capability reporting notifier
-// broadcast activity; both built-in backends inherit it from notifier.
+// broadcast activity; the store core inherits it from notifier.
 type wakeupReporter interface{ Wakeups() uint64 }
 
 // backendChangeWindow resolves the change window through any decorator

@@ -6,19 +6,20 @@
 // query engine that answers path-traversal queries ("what contributed to
 // this data?") with protected accounts, and an HTTP server/client pair.
 //
-// Storage is pluggable behind the Backend interface. LogBackend is the
-// durable engine: a single append-only log file where each record is
-// length-prefixed, type-tagged and CRC-guarded; an in-memory index (object
-// id -> offset, plus adjacency) is rebuilt by scanning the log on open,
-// and a torn tail from a crashed writer is detected and truncated. This is
-// deliberately the classical minimal write-ahead design: the paper's
-// Figure 10 experiment decomposes query cost into DB access, graph build
-// and protection, and this engine reproduces that decomposition honestly.
-// MemBackend (membackend.go) is the volatile, shard-partitioned engine for
-// read-heavy serving. Both hand queries immutable revision-stamped
-// snapshots, so lineage traversal never blocks writers, and both expose
-// the change feed (ChangesSince / Snapshot.DeltaSince) that the account,
-// view and cache layers consume for incremental maintenance.
+// Storage sits behind the Backend interface, and one in-memory core
+// serves it: MemBackend (membackend.go) holds the records, the
+// revision-ordered change feed (ChangesSince / Snapshot.DeltaSince) that
+// the account, view and cache layers consume for incremental
+// maintenance, and the cached immutable snapshots that lineage queries
+// traverse without blocking writers. On its own the core is the volatile
+// backend. LogBackend (this file) makes it durable: a single append-only
+// log file where each record is length-prefixed, type-tagged and
+// CRC-guarded. Every write is appended before the core applies it, the
+// core is rebuilt by replaying the log on open, and a torn tail from a
+// crashed writer is detected and truncated. This is deliberately the
+// classical minimal write-ahead design: the paper's Figure 10 experiment
+// decomposes query cost into DB access, graph build and protection, and
+// this engine reproduces that decomposition honestly.
 package plus
 
 import (
@@ -29,8 +30,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sync"
-	"sync/atomic"
 )
 
 // ObjectKind distinguishes provenance node types (Open Provenance Model
@@ -115,61 +114,34 @@ var ErrNotFound = errors.New("plus: object not found")
 // ErrClosed is returned on use after Close.
 var ErrClosed = errors.New("plus: store closed")
 
-// LogBackend is the durable provenance store: a CRC-guarded append-only
-// log with a full in-memory index. All methods are safe for concurrent
-// use. It implements Backend.
+// LogBackend is the durable provenance store: the in-memory core
+// (MemBackend, whose read, feed and snapshot methods it inherits) over a
+// CRC-guarded append-only log. Every write reaches the log through the
+// core's persist hook, under the core's write lock, before the core
+// applies it. All methods are safe for concurrent use. It implements
+// Backend.
 type LogBackend struct {
-	mu   sync.RWMutex
-	f    *os.File
+	*MemBackend
+
+	// The fields below are guarded by the core's mu.
+	f    logFile
 	path string
 	size int64
 	sync bool
-
-	objects    map[string]Object
-	history    map[string][]Object // superseded versions, oldest first
-	out        map[string][]Edge   // keyed by From
-	in         map[string][]Edge   // keyed by To
-	surrogates map[string][]SurrogateSpec
-
-	// revision increments on every applied record; engines use it to
-	// invalidate cached protected accounts and snapshots when the store
-	// changes. Atomic so the snapshot fast path never takes mu.
-	revision atomic.Uint64
-
-	// snap caches the last snapshot clone; valid while its revision
-	// matches the store's. Readers hitting the cache never touch mu.
-	snap atomic.Pointer[Snapshot]
-
-	// changes is the bounded in-memory change feed: changes[i] was
-	// applied at revision changesBase+i+1. The append-only log is the
-	// full history on disk, but only a recent window is kept resident —
-	// long-lived update-heavy stores would otherwise duplicate their
-	// whole write history in memory. Requests past the window fail with
-	// ErrTooFarBehind and callers rebuild from a snapshot.
-	changes       []Change
-	changesBase   uint64
-	changeHorizon int
-
-	// epoch identifies this log's revision numbering (Backend.Epoch).
-	// Persisted as a recEpoch record, so it survives restarts; rotated by
-	// Compact. Guarded by mu.
-	epoch string
-
-	// notifier wakes change-feed followers on every applied mutation
-	// (Backend.Notify); it has its own lock and never touches mu.
-	notifier
-
-	// idx is the lazily-maintained secondary index (kind/name/attr ->
-	// ids); see index.go. It has its own lock and is advanced by query
-	// probes, never by the write path.
-	idx *backendIndex
-
-	closed atomic.Bool
+	// failed, once set, refuses every later write: an append failed and
+	// the log could not be cut back to its last good offset, so its tail
+	// is unknown. Compact clears it by rewriting the log from memory.
+	failed error
 }
 
-// DefaultLogChangeHorizon is how many recent changes the durable backend
-// keeps resident for ChangesSince.
-const DefaultLogChangeHorizon = 1 << 16
+// logFile is what the appender needs of its open log file. *os.File is
+// the implementation; tests substitute one that fails writes.
+type logFile interface {
+	io.WriteSeeker
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
 
 // Store is the historical name of the durable engine, kept as an alias so
 // existing callers and tests keep compiling.
@@ -185,26 +157,15 @@ type Options struct {
 }
 
 // Open opens (or creates) a store at path, replaying the log to rebuild
-// the in-memory index. A torn final record — a crash mid-append — is
+// the in-memory core. A torn final record — a crash mid-append — is
 // truncated away; any earlier corruption is reported as an error.
 func Open(path string, opts Options) (*LogBackend, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("plus: open %s: %w", path, err)
 	}
-	s := &LogBackend{
-		f:             f,
-		path:          path,
-		sync:          opts.Sync,
-		objects:       map[string]Object{},
-		history:       map[string][]Object{},
-		out:           map[string][]Edge{},
-		in:            map[string][]Edge{},
-		surrogates:    map[string][]SurrogateSpec{},
-		changeHorizon: DefaultLogChangeHorizon,
-		idx:           newBackendIndex(),
-	}
-	if err := s.replay(); err != nil {
+	s := &LogBackend{MemBackend: newMemBackend(""), f: f, path: path, sync: opts.Sync}
+	if err := s.replay(f); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -212,24 +173,31 @@ func Open(path string, opts Options) (*LogBackend, error) {
 		// A new log (or one created before epochs existed): mint and
 		// persist an identity. For a legacy log the record lands at the
 		// tail, which is fine — replay applies it wherever it sits.
-		if err := s.append(recEpoch, epochRecord{Epoch: newEpoch()}); err != nil {
+		epoch := newEpoch()
+		buf, err := appendRecord(nil, recEpoch, epochRecord{Epoch: epoch})
+		if err == nil {
+			err = s.appendLog(buf)
+		}
+		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("plus: stamp epoch: %w", err)
 		}
+		s.epoch = epoch
 	}
+	s.persist = s.appendBatch
 	return s, nil
 }
 
-// replay scans the log, applying every intact record and truncating a
-// torn tail.
-func (s *LogBackend) replay() error {
-	info, err := s.f.Stat()
+// replay scans the log, applying every intact record to the core and
+// truncating a torn tail.
+func (s *LogBackend) replay(f *os.File) error {
+	info, err := f.Stat()
 	if err != nil {
 		return fmt.Errorf("plus: stat: %w", err)
 	}
 	total := info.Size()
 	var off int64
-	r := io.NewSectionReader(s.f, 0, total)
+	r := io.NewSectionReader(f, 0, total)
 	for off < total {
 		payload, n, err := readRecord(r)
 		if err != nil {
@@ -237,21 +205,63 @@ func (s *LogBackend) replay() error {
 				(errors.Is(err, errBadChecksum) && off+n >= total)
 			if tornAtTail {
 				// Crash mid-append: discard the tail.
-				if terr := s.f.Truncate(off); terr != nil {
+				if terr := f.Truncate(off); terr != nil {
 					return fmt.Errorf("plus: truncate torn tail: %w", terr)
 				}
 				break
 			}
 			return fmt.Errorf("plus: replay at offset %d: %w", off, err)
 		}
-		if err := s.apply(payload[0], payload[1:]); err != nil {
+		if err := s.replayRecord(payload[0], payload[1:]); err != nil {
 			return fmt.Errorf("plus: replay at offset %d: %w", off, err)
 		}
 		off += n
 	}
 	s.size = off
-	if _, err := s.f.Seek(s.size, io.SeekStart); err != nil {
+	if _, err := f.Seek(s.size, io.SeekStart); err != nil {
 		return fmt.Errorf("plus: seek: %w", err)
+	}
+	return nil
+}
+
+// replayRecord decodes one logged record and applies it to the core.
+func (s *LogBackend) replayRecord(kind byte, body []byte) error {
+	switch kind {
+	case recEpoch:
+		var er epochRecord
+		if err := json.Unmarshal(body, &er); err != nil {
+			return err
+		}
+		if er.Epoch == "" {
+			return fmt.Errorf("plus: epoch record with empty epoch")
+		}
+		s.epoch = er.Epoch
+		// Base only applies at the head of the log (a compacted rewrite);
+		// an epoch record appended mid-history never rewinds the counter.
+		if s.revision.Load() == 0 && er.Base > 0 {
+			s.revision.Store(er.Base)
+			s.changesBase = er.Base
+		}
+	case recObject:
+		var o Object
+		if err := json.Unmarshal(body, &o); err != nil {
+			return err
+		}
+		s.applyObject(o)
+	case recEdge:
+		var e Edge
+		if err := json.Unmarshal(body, &e); err != nil {
+			return err
+		}
+		s.applyEdge(e)
+	case recSurrogate:
+		var sp SurrogateSpec
+		if err := json.Unmarshal(body, &sp); err != nil {
+			return err
+		}
+		s.applySurrogate(sp)
+	default:
+		return fmt.Errorf("plus: unknown record type %d", kind)
 	}
 	return nil
 }
@@ -265,8 +275,31 @@ var (
 	errBadChecksum = errors.New("plus: record checksum mismatch")
 )
 
-// record layout: 4-byte little-endian payload length, 4-byte CRC32C of the
-// payload, payload (1 type byte + JSON body).
+// maxRecordLen bounds a record's payload. Replay treats a longer length
+// field as corruption, so the writer refuses such records up front.
+const maxRecordLen = 1 << 24
+
+// appendRecord frames one record onto buf. Record layout: 4-byte
+// little-endian payload length, 4-byte CRC32C of the payload, payload
+// (1 type byte + JSON body).
+func appendRecord(buf []byte, kind byte, v any) ([]byte, error) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return buf, fmt.Errorf("plus: encode: %w", err)
+	}
+	if 1+len(body) > maxRecordLen {
+		return buf, fmt.Errorf("plus: record of %d bytes exceeds the %d-byte limit", 1+len(body), maxRecordLen)
+	}
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(1+len(body)))
+	buf = append(buf, 0, 0, 0, 0) // checksum, filled in below
+	buf = append(buf, kind)
+	buf = append(buf, body...)
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(buf[start+8:], crcTable))
+	return buf, nil
+}
+
+// readRecord reads one record framed by appendRecord.
 func readRecord(r io.Reader) ([]byte, int64, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -277,7 +310,7 @@ func readRecord(r io.Reader) ([]byte, int64, error) {
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
 	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if length == 0 || length > 1<<24 {
+	if length == 0 || length > maxRecordLen {
 		return nil, 0, fmt.Errorf("plus: implausible record length %d", length)
 	}
 	payload := make([]byte, length)
@@ -295,364 +328,84 @@ func readRecord(r io.Reader) ([]byte, int64, error) {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-func (s *LogBackend) apply(kind byte, body []byte) error {
-	if kind == recEpoch {
-		var er epochRecord
-		if err := json.Unmarshal(body, &er); err != nil {
+// appendBatch is the core's persist hook: it frames the batch's records
+// in the order the core applies them (objects, edges, surrogates) and
+// appends them with one write.
+func (s *LogBackend) appendBatch(b *Batch) error {
+	var buf []byte
+	var err error
+	for _, o := range b.Objects {
+		if buf, err = appendRecord(buf, recObject, o); err != nil {
 			return err
 		}
-		if er.Epoch == "" {
-			return fmt.Errorf("plus: epoch record with empty epoch")
-		}
-		s.epoch = er.Epoch
-		// Base only applies at the head of the log (a compacted rewrite);
-		// an epoch record appended mid-history never rewinds the counter.
-		if s.revision.Load() == 0 && er.Base > 0 {
-			s.revision.Store(er.Base)
-			s.changesBase = er.Base
-		}
-		return nil
 	}
-	c := Change{}
-	switch kind {
-	case recObject:
-		var o Object
-		if err := json.Unmarshal(body, &o); err != nil {
+	for _, e := range b.Edges {
+		if buf, err = appendRecord(buf, recEdge, e); err != nil {
 			return err
 		}
-		o = internObject(o)
-		if prev, existed := s.objects[o.ID]; existed {
-			s.history[o.ID] = append(s.history[o.ID], prev)
-		}
-		s.objects[o.ID] = o
-		c.Kind, c.Object = ChangeObject, o
-	case recEdge:
-		var e Edge
-		if err := json.Unmarshal(body, &e); err != nil {
+	}
+	for _, sp := range b.Surrogates {
+		if buf, err = appendRecord(buf, recSurrogate, sp); err != nil {
 			return err
 		}
-		e = internEdge(e)
-		s.out[e.From] = append(s.out[e.From], e)
-		s.in[e.To] = append(s.in[e.To], e)
-		c.Kind, c.Edge = ChangeEdge, e
-	case recSurrogate:
-		var sp SurrogateSpec
-		if err := json.Unmarshal(body, &sp); err != nil {
-			return err
-		}
-		sp = internSurrogate(sp)
-		s.surrogates[sp.ForID] = append(s.surrogates[sp.ForID], sp)
-		c.Kind, c.Surrogate = ChangeSurrogate, sp
-	default:
-		return fmt.Errorf("plus: unknown record type %d", kind)
 	}
-	c.Rev = s.revision.Add(1)
-	s.changes = append(s.changes, c)
-	s.trimChanges()
-	return nil
+	return s.appendLog(buf)
 }
 
-// trimChanges drops the oldest retained changes once the window exceeds
-// the horizon by half (slack keeps the copy amortised O(1) per write).
-func (s *LogBackend) trimChanges() {
-	h := s.changeHorizon
-	if h < 0 {
-		h = 0
+// appendLog writes framed records at the end of the log (and fsyncs with
+// Options.Sync). A failed or short write, or a failed fsync, cuts the
+// file back to the last good offset, so the log never keeps bytes the
+// core did not apply and the next append lands where it should. When
+// even that rollback fails the store refuses every later write. Caller
+// holds the core's write lock.
+func (s *LogBackend) appendLog(buf []byte) error {
+	if s.failed != nil {
+		return s.failed
 	}
-	if len(s.changes) <= h+h/2 {
-		return
-	}
-	drop := len(s.changes) - h
-	s.changesBase += uint64(drop)
-	s.changes = append(s.changes[:0:0], s.changes[drop:]...)
-}
-
-// SetChangeHorizon resizes the resident change window (minimum 0, which
-// retains nothing). Shrinking discards the oldest retained changes.
-func (s *LogBackend) SetChangeHorizon(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.changeHorizon = n
-	if len(s.changes) > n {
-		drop := len(s.changes) - n
-		s.changesBase += uint64(drop)
-		s.changes = append(s.changes[:0:0], s.changes[drop:]...)
-	}
-}
-
-// ChangeHorizon reports the resident change-window capacity.
-func (s *LogBackend) ChangeHorizon() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.changeHorizon
-}
-
-// ChangeWindow reports the resident change-feed window; followers use it
-// (via /v1/stats and healthz) to compute their lag against the oldest
-// position the feed can still serve.
-func (s *LogBackend) ChangeWindow() FeedWindow {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return FeedWindow{
-		Base:    s.changesBase,
-		Depth:   len(s.changes),
-		Horizon: s.changeHorizon,
-	}
-}
-
-// Revision returns a counter that increases with every stored record;
-// equal revisions imply identical store contents (within one process).
-func (s *LogBackend) Revision() uint64 {
-	return s.revision.Load()
-}
-
-// Epoch identifies this log's revision numbering; stable across restarts,
-// rotated by Compact.
-func (s *LogBackend) Epoch() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.epoch
-}
-
-// ChangesSince returns the records applied after revision since, in
-// order. Only the recent window (ChangeHorizon) is resident; a request
-// past it fails with ErrTooFarBehind and the caller rebuilds from a
-// snapshot.
-func (s *LogBackend) ChangesSince(since uint64) ([]Change, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	rev := s.revision.Load()
-	if since > rev {
-		return nil, errFutureRevision(since, rev)
-	}
-	if since < s.changesBase {
-		return nil, ErrTooFarBehind
-	}
-	return append([]Change(nil), s.changes[since-s.changesBase:rev-s.changesBase]...), nil
-}
-
-// walkChangesSince streams the retained changes with revision in
-// (since, upTo] to visit straight out of the resident window, copying
-// nothing. The window is a single revision-ordered slice, so unlike
-// MemBackend's shard-by-shard walk the visits here are globally ordered.
-// See changeWalker for the contract.
-func (s *LogBackend) walkChangesSince(since, upTo uint64, visit func(*Change)) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	rev := s.revision.Load()
-	if since > rev {
-		return errFutureRevision(since, rev)
-	}
-	if since < s.changesBase {
-		return ErrTooFarBehind
-	}
-	if upTo > rev {
-		upTo = rev
-	}
-	for i := since - s.changesBase; i < upTo-s.changesBase; i++ {
-		visit(&s.changes[i])
-	}
-	return nil
-}
-
-// Snapshot returns an immutable view of the store at its current
-// revision. The clone is cached: consecutive snapshots with no
-// intervening write return the same *Snapshot without taking the store
-// lock, so concurrent lineage readers scale with cores instead of
-// serializing on mu.
-func (s *LogBackend) Snapshot() (*Snapshot, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	if sn := s.snap.Load(); sn != nil && sn.rev == s.revision.Load() {
-		return sn, nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	// Re-check under the lock: another reader may have cloned already.
-	rev := s.revision.Load()
-	if sn := s.snap.Load(); sn != nil && sn.rev == rev {
-		return sn, nil
-	}
-	sn := cloneIndex(s, rev, s.objects, s.out, s.in, s.surrogates)
-	sn.idx = s.idx
-	s.snap.Store(sn)
-	return sn, nil
-}
-
-// IndexStats reports the secondary index's current state.
-func (s *LogBackend) IndexStats() IndexStats { return s.idx.stats() }
-
-// Ping reports whether the store is open.
-func (s *LogBackend) Ping() error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	return nil
-}
-
-// append writes one record and updates the index via apply.
-func (s *LogBackend) append(kind byte, v interface{}) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	body, err := json.Marshal(v)
+	_, err := s.f.Write(buf)
 	if err != nil {
-		return fmt.Errorf("plus: encode: %w", err)
-	}
-	payload := append([]byte{kind}, body...)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := s.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("plus: write: %w", err)
-	}
-	if _, err := s.f.Write(payload); err != nil {
-		return fmt.Errorf("plus: write: %w", err)
-	}
-	if s.sync {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("plus: sync: %w", err)
+		err = fmt.Errorf("plus: write: %w", err)
+	} else if s.sync {
+		if serr := s.f.Sync(); serr != nil {
+			err = fmt.Errorf("plus: sync: %w", serr)
 		}
 	}
-	s.size += int64(8 + len(payload))
-	if err := s.apply(kind, body); err != nil {
+	if err != nil {
+		if rerr := s.rollback(); rerr != nil {
+			s.failed = fmt.Errorf("plus: log refuses writes: rollback after %v failed: %w", err, rerr)
+		}
 		return err
 	}
-	s.broadcast()
+	s.size += int64(len(buf))
 	return nil
 }
 
-// PutObject stores (or replaces) a provenance object.
-func (s *LogBackend) PutObject(o Object) error {
-	if err := validateObject(o); err != nil {
+// rollback truncates the log to its last good offset and moves the write
+// position back there.
+func (s *LogBackend) rollback() error {
+	if err := s.f.Truncate(s.size); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.append(recObject, o)
+	_, err := s.f.Seek(s.size, io.SeekStart)
+	return err
 }
 
-// PutEdge stores a provenance edge; both endpoints must exist.
-func (s *LogBackend) PutEdge(e Edge) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.objects[e.From]; !ok {
-		return fmt.Errorf("plus: edge %s->%s: %w (from)", e.From, e.To, ErrNotFound)
-	}
-	if _, ok := s.objects[e.To]; !ok {
-		return fmt.Errorf("plus: edge %s->%s: %w (to)", e.From, e.To, ErrNotFound)
-	}
-	if e.From == e.To {
-		return fmt.Errorf("plus: self edge %s rejected", e.From)
-	}
-	for _, prev := range s.out[e.From] {
-		if prev.To == e.To {
-			return fmt.Errorf("plus: duplicate edge %s->%s", e.From, e.To)
-		}
-	}
-	return s.append(recEdge, e)
-}
-
-// PutSurrogate stores a surrogate version of an object.
-func (s *LogBackend) PutSurrogate(sp SurrogateSpec) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.objects[sp.ForID]; !ok {
-		return fmt.Errorf("plus: surrogate for %s: %w", sp.ForID, ErrNotFound)
-	}
-	if err := validateSurrogate(sp); err != nil {
-		return err
-	}
-	return s.append(recSurrogate, sp)
-}
-
-// GetObject fetches one object by id.
-func (s *LogBackend) GetObject(id string) (Object, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed.Load() {
-		return Object{}, ErrClosed
-	}
-	o, ok := s.objects[id]
-	if !ok {
-		return Object{}, fmt.Errorf("plus: %q: %w", id, ErrNotFound)
-	}
-	return o, nil
-}
-
-// NumObjects reports how many objects the store holds.
-func (s *LogBackend) NumObjects() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.objects)
-}
-
-// NumEdges reports how many edges the store holds.
-func (s *LogBackend) NumEdges() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, es := range s.out {
-		n += len(es)
-	}
-	return n
-}
-
-// History returns the superseded versions of an object, oldest first; the
-// live version is not included. Because the log is append-only the full
-// history replays on open; Compact drops it (only live state is
-// rewritten), which callers trade off against space.
-func (s *LogBackend) History(id string) []Object {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]Object(nil), s.history[id]...)
-}
-
-// Objects returns every object (unspecified order).
-func (s *LogBackend) Objects() []Object {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Object, 0, len(s.objects))
-	for _, o := range s.objects {
-		out = append(out, o)
-	}
-	return out
-}
-
-// Close flushes and closes the log file.
+// Close closes the core and flushes and closes the log file. Double
+// close is a no-op.
 func (s *LogBackend) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed.Load() {
+	s.shut()
+	f := s.f
+	if f == nil {
 		return nil
 	}
-	s.closed.Store(true)
-	s.snap.Store(nil)
-	s.broadcast() // wake parked followers so they observe the close
-	if err := s.f.Sync(); err != nil {
-		s.f.Close()
+	s.f = nil
+	if err := f.Sync(); err != nil {
+		f.Close()
 		return fmt.Errorf("plus: close sync: %w", err)
 	}
-	return s.f.Close()
+	return f.Close()
 }
 
 // Size returns the log size in bytes.

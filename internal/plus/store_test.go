@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -288,5 +289,181 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	wg.Wait()
 	if s.NumObjects() != workers*25 {
 		t.Errorf("objects = %d, want %d", s.NumObjects(), workers*25)
+	}
+}
+
+// changeWalker is the in-place feed walk every backend's core provides;
+// the conformance suite reaches it through a Backend.
+type changeWalker interface {
+	walkChangesSince(since, upTo uint64, visit func(*Change)) error
+}
+
+var (
+	errInjectedWrite    = errors.New("injected write failure")
+	errInjectedTruncate = errors.New("injected truncate failure")
+)
+
+// failingLog wraps the store's log file: while failWrites is positive a
+// write stores only the first half of its buffer and then fails, and a
+// non-nil truncErr makes the rollback's truncate fail.
+type failingLog struct {
+	*os.File
+	failWrites int
+	truncErr   error
+}
+
+func (f *failingLog) Write(p []byte) (int, error) {
+	if f.failWrites > 0 {
+		f.failWrites--
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, errInjectedWrite
+	}
+	return f.File.Write(p)
+}
+
+func (f *failingLog) Truncate(size int64) error {
+	if f.truncErr != nil {
+		return f.truncErr
+	}
+	return f.File.Truncate(size)
+}
+
+// TestShortWriteRollsBack: a write that fails halfway leaves nothing
+// behind — not in memory, not in the log — so the next write succeeds and
+// a reopen holds exactly the acknowledged records.
+func TestShortWriteRollsBack(t *testing.T) {
+	s, path := openTemp(t)
+	putChain(t, s, "a", "b")
+	rev, size := s.Revision(), s.Size()
+	s.f = &failingLog{File: s.f.(*os.File), failWrites: 1}
+
+	if err := s.PutObject(Object{ID: "lost", Kind: Data, Name: "lost"}); !errors.Is(err, errInjectedWrite) {
+		t.Fatalf("PutObject on a failing log = %v, want the write error", err)
+	}
+	if _, err := s.GetObject("lost"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("failed write applied in memory: %v", err)
+	}
+	if s.Revision() != rev || s.Size() != size {
+		t.Errorf("failed write moved revision %d -> %d, size %d -> %d", rev, s.Revision(), size, s.Size())
+	}
+	if _, err := s.Apply(Batch{
+		Objects: []Object{{ID: "c", Kind: Data, Name: "c"}},
+		Edges:   []Edge{{From: "b", To: "c"}},
+	}); err != nil {
+		t.Fatalf("write after a rolled-back failure: %v", err)
+	}
+	if info, err := os.Stat(path); err != nil || info.Size() != s.Size() {
+		t.Errorf("log file is %v bytes, tracked size %d (%v)", info.Size(), s.Size(), err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(path, Options{})
+	if err != nil {
+		t.Fatalf("reopen after a rolled-back write: %v", err)
+	}
+	defer s2.Close()
+	if s2.NumObjects() != 3 || s2.NumEdges() != 2 {
+		t.Errorf("reopened %d objects %d edges, want 3, 2", s2.NumObjects(), s2.NumEdges())
+	}
+	if _, err := s2.GetObject("lost"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("unacknowledged record replayed: %v", err)
+	}
+}
+
+// TestFailedRollbackRefusesWrites: when the log cannot be cut back after
+// a failed write, its tail is unknown, so the store refuses every later
+// write instead of appending after the torn bytes.
+func TestFailedRollbackRefusesWrites(t *testing.T) {
+	s, path := openTemp(t)
+	putChain(t, s, "a", "b")
+	s.f = &failingLog{File: s.f.(*os.File), failWrites: 1, truncErr: errInjectedTruncate}
+
+	if err := s.PutObject(Object{ID: "lost", Kind: Data, Name: "lost"}); !errors.Is(err, errInjectedWrite) {
+		t.Fatalf("PutObject on a failing log = %v, want the write error", err)
+	}
+	if err := s.PutObject(Object{ID: "c", Kind: Data, Name: "c"}); !errors.Is(err, errInjectedTruncate) {
+		t.Fatalf("write after a failed rollback = %v, want the rollback error", err)
+	}
+	if s.NumObjects() != 2 {
+		t.Errorf("objects = %d, want 2", s.NumObjects())
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The half-written record is a torn tail, which replay truncates.
+	s2, err := Open(path, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	if s2.NumObjects() != 2 || s2.NumEdges() != 1 {
+		t.Errorf("reopened %d objects %d edges, want 2, 1", s2.NumObjects(), s2.NumEdges())
+	}
+}
+
+// TestOversizedRecordRejected: a record replay would refuse as corrupt is
+// refused at write time, so the store still opens afterwards.
+func TestOversizedRecordRejected(t *testing.T) {
+	s, path := openTemp(t)
+	putChain(t, s, "a")
+	huge := Object{ID: "huge", Kind: Data, Name: strings.Repeat("x", maxRecordLen)}
+	if err := s.PutObject(huge); err == nil {
+		t.Fatal("oversized record accepted")
+	}
+	if _, err := s.GetObject("huge"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("refused record applied in memory: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(path, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	if s2.NumObjects() != 1 {
+		t.Errorf("reopened %d objects, want 1", s2.NumObjects())
+	}
+}
+
+// TestInvalidUTF8Rejected: the log encodes records as JSON, which would
+// replace invalid UTF-8, so every write path refuses such text instead of
+// acknowledging a record that replays differently.
+func TestInvalidUTF8Rejected(t *testing.T) {
+	s, path := openTemp(t)
+	putChain(t, s, "a", "b")
+	const bad = "bad\xffname"
+	if err := s.PutObject(Object{ID: "c", Kind: Data, Name: bad}); err == nil {
+		t.Error("object with invalid UTF-8 name accepted")
+	}
+	if err := s.PutObject(Object{ID: bad, Kind: Data}); err == nil {
+		t.Error("object with invalid UTF-8 id accepted")
+	}
+	if err := s.PutEdge(Edge{From: "b", To: "a", Label: bad}); err == nil {
+		t.Error("edge with invalid UTF-8 label accepted")
+	}
+	if err := s.PutSurrogate(SurrogateSpec{ForID: "a", ID: "a'", Features: map[string]string{"k": bad}}); err == nil {
+		t.Error("surrogate with invalid UTF-8 feature accepted")
+	}
+	if _, err := s.Apply(Batch{Objects: []Object{{ID: "d", Kind: Data, Features: map[string]string{bad: "v"}}}}); err == nil {
+		t.Error("batch object with invalid UTF-8 feature key accepted")
+	}
+	if _, err := s.Apply(Batch{Edges: []Edge{{From: "b", To: "a", Lowest: bad}}}); err == nil {
+		t.Error("batch edge with invalid UTF-8 accepted")
+	}
+	rev := s.Revision()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.Revision() != rev || s2.NumObjects() != 2 || s2.NumEdges() != 1 {
+		t.Errorf("reopened at revision %d with %d objects %d edges, want %d, 2, 1",
+			s2.Revision(), s2.NumObjects(), s2.NumEdges(), rev)
 	}
 }

@@ -215,6 +215,36 @@ func TestEngineAdvanceStats(t *testing.T) {
 	}
 }
 
+// TestEngineAdvanceKeepsOtherViewersViews: a write followed by queries
+// from two viewers advances both viewers' views; caching one viewer's
+// advanced view must not evict the other's older view.
+func TestEngineAdvanceKeepsOtherViewersViews(t *testing.T) {
+	b := exampleBackend(t)
+	e := NewEngine(b, privilege.TwoLevel())
+	q := `node(X), kind(X, data)`
+	viewers := []privilege.Predicate{privilege.Public, "Protected"}
+	for _, v := range viewers {
+		if _, err := e.Query(q, Options{Viewer: v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.PutObject(plus.Object{ID: "w", Kind: plus.Data, Name: "w"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range viewers {
+		if _, err := e.Query(q, Options{Viewer: v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := e.CacheStats()
+	if st.Advanced != 2 || st.FullBuilds != 2 {
+		t.Errorf("stats = %+v, want 2 advances and only the 2 cold full builds", st)
+	}
+	if st.Views != 2 {
+		t.Errorf("cached views = %d, want one per viewer", st.Views)
+	}
+}
+
 // TestEngineAdvanceConcurrent interleaves writers with query goroutines
 // for two viewers, so view advances race with queries holding the old
 // views (exercised under -race in CI).
@@ -279,7 +309,7 @@ func TestEngineAdvanceConcurrent(t *testing.T) {
 // change ring retains: the advance falls back to a full build and answers
 // stay correct.
 func TestEngineAdvanceTooFarBehind(t *testing.T) {
-	b := plus.NewMemBackend(2)
+	b := plus.NewMemBackend()
 	t.Cleanup(func() { b.Close() })
 	b.SetChangeHorizon(2)
 	for i := 0; i < 3; i++ {

@@ -17,7 +17,7 @@ import (
 // chains — the shape whose protected views are expensive to rebuild.
 func mixedWorkloadBackend(tb testing.TB, n int) plus.Backend {
 	tb.Helper()
-	b := plus.NewMemBackend(0)
+	b := plus.NewMemBackend()
 	tb.Cleanup(func() { b.Close() })
 	rng := rand.New(rand.NewSource(42))
 	batch := plus.Batch{}

@@ -30,7 +30,7 @@ var indexBenchQueries = []string{
 // in-memory backend.
 func largeBackend(tb testing.TB, nodes int) plus.Backend {
 	tb.Helper()
-	b := plus.NewMemBackend(0)
+	b := plus.NewMemBackend()
 	tb.Cleanup(func() { b.Close() })
 	err := workload.GenerateLarge(workload.LargeConfig{Nodes: nodes, Seed: 11},
 		func(batch plus.Batch) error {

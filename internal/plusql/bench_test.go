@@ -18,7 +18,7 @@ import (
 // the result traverse surrogates throughout.
 func motifStore(tb testing.TB, copies int) plus.Backend {
 	tb.Helper()
-	be := plus.NewMemBackend(0)
+	be := plus.NewMemBackend()
 	tb.Cleanup(func() { be.Close() })
 	put := func(err error) {
 		if err != nil {

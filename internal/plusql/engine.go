@@ -133,7 +133,7 @@ func (e *Engine) CacheStats() ViewCacheStats {
 // mode) and whether it was a cache hit. On miss it first tries to
 // advance the newest cached view of the same (viewer, mode) by the
 // change-feed delta, then falls back to a full build from the snapshot;
-// views of older revisions are evicted.
+// older views of the same (viewer, mode) are evicted.
 func (e *Engine) view(viewer privilege.Predicate, mode plus.Mode) (*View, bool, error) {
 	sn, err := e.store.Snapshot()
 	if err != nil {
@@ -188,36 +188,27 @@ func (e *Engine) view(viewer privilege.Predicate, mode plus.Mode) (*View, bool, 
 
 // cache installs a freshly built or advanced view, keeping whichever view
 // won a concurrent race so callers share one closure memo, and never
-// letting a slow build for an old revision evict or displace views of a
-// newer one. Callers must hold e.mu.
+// letting a slow build for an old revision evict or displace a newer view
+// of the same (viewer, mode). Views of other viewers and modes are left
+// alone: each keeps its newest view, which its next query advances.
+// Callers must hold e.mu.
 func (e *Engine) cache(key viewKey, v *View) *View {
-	switch won, ok := e.views[key]; {
-	case ok:
+	if won, ok := e.views[key]; ok {
 		return won
-	case e.newestCached() > key.rev:
-		// Stale build: serve it to this caller but don't cache it.
-		return v
-	default:
-		for k := range e.views {
-			if k.rev < key.rev {
-				delete(e.views, k)
-			}
-		}
-		e.views[key] = v
-		return v
 	}
-}
-
-// newestCached reports the highest revision in the view cache (0 when
-// empty). Callers must hold e.mu.
-func (e *Engine) newestCached() uint64 {
-	var newest uint64
 	for k := range e.views {
-		if k.rev > newest {
-			newest = k.rev
+		if k.viewer == key.viewer && k.mode == key.mode && k.rev > key.rev {
+			// Stale build: serve it to this caller but don't cache it.
+			return v
 		}
 	}
-	return newest
+	for k := range e.views {
+		if k.viewer == key.viewer && k.mode == key.mode {
+			delete(e.views, k)
+		}
+	}
+	e.views[key] = v
+	return v
 }
 
 // Query parses, plans and executes one PLUSQL query.

@@ -21,7 +21,7 @@ import (
 // only as its surrogate, c not at all.
 func exampleBackend(t testing.TB) plus.Backend {
 	t.Helper()
-	b := plus.NewMemBackend(0)
+	b := plus.NewMemBackend()
 	t.Cleanup(func() { b.Close() })
 	objs := []plus.Object{
 		{ID: "a", Kind: plus.Data, Name: "raw", Features: map[string]string{"owner": "alice"}},

@@ -492,7 +492,7 @@ func (c *Client) Snapshot(ctx context.Context) (*SnapshotResponse, error) {
 // whole graph (cmd/protect and cmd/audit's -server modes) build their
 // account specs from it.
 func Restore(snap *SnapshotResponse) (*plus.MemBackend, error) {
-	m := plus.NewMemBackend(0)
+	m := plus.NewMemBackend()
 	_, err := m.Apply(plus.Batch{Objects: snap.Objects, Edges: snap.Edges, Surrogates: snap.Surrogates})
 	if err != nil {
 		m.Close()

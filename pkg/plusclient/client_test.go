@@ -22,7 +22,7 @@ import (
 // PLUSQL) and returns the SDK client pointed at it.
 func newTestServer(t *testing.T, opts ...Option) (*Client, *plus.MemBackend, *httptest.Server) {
 	t.Helper()
-	m := plus.NewMemBackend(4)
+	m := plus.NewMemBackend()
 	t.Cleanup(func() { m.Close() })
 	lat := privilege.TwoLevel()
 	srv := plus.NewServer(plus.NewEngine(m, lat))
@@ -385,7 +385,7 @@ func TestSDKContextCancellation(t *testing.T) {
 func TestSDKFollowSurvivesTransportBlips(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	m := plus.NewMemBackend(2)
+	m := plus.NewMemBackend()
 	defer m.Close()
 	srv := plus.NewServer(plus.NewEngine(m, privilege.TwoLevel()))
 
